@@ -20,11 +20,9 @@
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "dataplane/hashpipe.hpp"
 #include "dataplane/p4_tdbf.hpp"
 #include "sketch/univmon.hpp"
-#include "sketch/wcss.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -65,19 +63,6 @@ int main(int argc, char** argv) {
     mem.add_row({"full-ancestry (eps=0.5%)", human_bytes(engine.memory_bytes()),
                  str_format("%zu trie entries", engine.entry_count())});
   }
-  {
-    WindowedSpaceSaving wss({.window = Duration::seconds(10), .frames = 10,
-                             .counters_per_frame = 512});
-    for (const auto& p : packets) wss.update(p.src().v4().bits(), p.ip_len, p.ts);
-    mem.add_row({"wcss-style sliding HH", human_bytes(wss.memory_bytes()),
-                 "11 frame summaries"});
-  }
-  {
-    WcssSlidingHhhDetector det({.window = Duration::seconds(10)});
-    for (const auto& p : packets) det.offer(p);
-    mem.add_row({"wcss sliding HHH (W=10s)", human_bytes(det.memory_bytes()),
-                 "fixed: 5 levels x 11 frame summaries"});
-  }
   // The Memento detector's state is a fixed arena sized by Params alone:
   // replaying the trace a second time (timestamps shifted to stay
   // monotone) must not grow it by a byte. bench_diff has no gate here —
@@ -86,12 +71,12 @@ int main(int argc, char** argv) {
   std::size_t memento_once = 0, memento_twice = 0;
   {
     MementoHhhDetector det({.window = Duration::seconds(10)});
-    for (const auto& p : packets) det.offer(p);
+    for (const auto& p : packets) det.add(p);
     memento_once = det.memory_bytes();
     const Duration shift = (packets.back().ts - TimePoint()) + Duration::millis(1);
     for (PacketRecord p : packets) {
       p.ts += shift;
-      det.offer(p);
+      det.add(p);
     }
     memento_twice = det.memory_bytes();
     mem.add_row({"memento sliding HHH (W=10s)", human_bytes(memento_once),
@@ -102,7 +87,7 @@ int main(int argc, char** argv) {
                               .window = Duration::seconds(10)});
     // The v4 trace exercises construction only (v4 packets are ignored);
     // the arena is allocated up front, so idle state IS the footprint.
-    for (const auto& p : packets) det.offer(p);
+    for (const auto& p : packets) det.add(p);
     mem.add_row({"memento_v6 sliding HHH", human_bytes(det.memory_bytes()),
                  "fixed arena: 17 levels x (512 slots + delta ring)"});
   }

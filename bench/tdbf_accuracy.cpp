@@ -5,6 +5,8 @@
 // continuous monitoring, W = 10 s, step 1 s, phi = 1 % and 5 %):
 //  * disjoint+exact — the Fig. 1a practice with unlimited per-window state;
 //  * disjoint+RHHH  — the practical data-plane engine, reset per window;
+//  * Memento        — bounded-state sliding HHH (ref [1]'s line of work),
+//                     queried every step, no resets;
 //  * TDBF-HHH       — the paper's windowless proposal (half-life = W ln 2),
 //                     queried every step, no resets.
 //
@@ -20,10 +22,10 @@
 #include "bench_common.hpp"
 #include "core/disjoint_window.hpp"
 #include "core/hidden_analysis.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -82,22 +84,21 @@ int main(int argc, char** argv) {
       det.finish(packets.back().ts);
       rows.push_back({"disjoint+rhhh", u.values(), det.engine().memory_bytes()});
     }
-    // WCSS-backed sliding HHH (ref [1] lifted to HHH): sharp window
-    // semantics with bounded state, queried at every step like the exact
-    // sliding ground truth.
+    // Memento sliding HHH (ref [1]'s line of work lifted to HHH): sharp
+    // window semantics with bounded state, queried at every step like the
+    // exact sliding ground truth.
     {
-      WcssSlidingHhhDetector det({.window = window, .frames = 10,
-                                  .counters_per_level = 512});
+      MementoHhhDetector det({.window = window, .frames = 10, .counters_per_level = 512});
       PrefixUnion u;
       TimePoint next_query = TimePoint() + window;
       for (const auto& p : packets) {
-        det.offer(p);
+        det.add(p);
         if (p.ts >= next_query) {
           u.add(det.query(p.ts, phi).prefixes());
           next_query += step;
         }
       }
-      rows.push_back({"wcss-sliding", u.values(), det.memory_bytes()});
+      rows.push_back({"memento", u.values(), det.memory_bytes()});
     }
     // Windowless TDBF-HHH. Queried 4x per step: a windowless detector can
     // be queried at any instant, which is exactly its operational edge
@@ -140,8 +141,8 @@ int main(int argc, char** argv) {
   std::fputs(table.to_console().c_str(), stdout);
   std::printf("\nshape: the window-boundary-free detectors recover the hidden HHHs the "
               "disjoint models miss by construction (rhhh only stumbles on a few via "
-              "estimation noise). wcss-sliding keeps sharp window semantics and tracks "
-              "the sliding truth almost perfectly; tdbf-hhh trades some fidelity for "
+              "estimation noise). memento keeps sharp window semantics at bounded state "
+              "(level sampling costs it precision at low phi); tdbf-hhh trades some fidelity for "
               "in-place exponential decay implementable in one RMW per stage "
               "(see bench/resource).\n");
   if (!opt.csv_path.empty()) {

@@ -30,10 +30,12 @@ namespace hhh {
 ///
 /// Implementations range from the exact ground truth (ExactEngine) to the
 /// streaming sketches a programmable data plane would run (RhhhEngine,
-/// AncestryHhhEngine, UnivmonHhhEngine) and the sharded parallel front-end
-/// (ShardedHhhEngine). The disjoint-window driver resets the engine at
-/// every window boundary and extracts at window close; engines are driven
-/// by exactly one caller thread at a time.
+/// AncestryHhhEngine, UnivmonHhhEngine), the sharded parallel front-end
+/// (ShardedHhhEngine) and the sliding-window Memento detectors
+/// (MementoDetector), whose state expires by time instead of by reset.
+/// The disjoint-window driver resets the engine at every window boundary
+/// and extracts at window close; engines are driven by exactly one caller
+/// thread at a time.
 class HhhEngine {
  public:
   /// Engines are owned polymorphically by the window drivers.
@@ -57,13 +59,15 @@ class HhhEngine {
   }
 
   /// HHHs of the traffic added since the last reset, at relative
-  /// threshold `phi` (T = ceil(phi * total)).
+  /// threshold `phi` (T = ceil(phi * total)). For a sliding engine the
+  /// traffic is the trailing window at its newest frame.
   virtual HhhSet extract(double phi) const = 0;
 
   /// Forget everything (window boundary).
   virtual void reset() = 0;
 
-  /// Bytes accounted since the last reset (exact in every engine).
+  /// Bytes accounted since the last reset (exact in every engine); for a
+  /// sliding engine, the trailing window's bytes at its newest frame.
   virtual std::uint64_t total_bytes() const = 0;
 
   /// Resident memory footprint of the engine's state, in bytes.
@@ -89,6 +93,8 @@ class HhhEngine {
   ///    capacity k over weight N overestimates by at most N/k, and merging
   ///    sums the bounds, so the merged overestimate is at most
   ///    (N_self + N_other)/k per level (scaled by H in sampled mode);
+  ///  * memento — per-level sliding summaries and window totals merge by
+  ///    absolute frame; the newer frame becomes the merged watermark;
   ///  * engines without merge support (ancestry, univmon, tdbf) throw
   ///    std::logic_error — the default implementation.
   ///

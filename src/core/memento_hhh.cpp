@@ -55,18 +55,30 @@ BasicMementoHhhDetector<D>::BasicMementoHhhDetector(const Params& params)
   if (frame_len_.ns() <= 0) {
     throw std::invalid_argument("MementoHhhDetector: window shorter than frame count");
   }
+  levels_.reserve(params_.hierarchy.levels());
+  clear_windows();
+}
+
+template <typename D>
+void BasicMementoHhhDetector<D>::clear_windows() {
   typename BasicMementoSummary<D>::Params sp;
   sp.window = params_.window;
   sp.frames = params_.frames;
   sp.counters = params_.counters_per_level;
-  levels_.reserve(params_.hierarchy.levels());
+  levels_.clear();
   for (std::size_t i = 0; i < params_.hierarchy.levels(); ++i) levels_.emplace_back(sp);
+  current_frame_ = -1;
   total_frame_ids_.assign(params_.frames + 1, -1);
   total_frame_bytes_.assign(params_.frames + 1, 0.0);
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::note_packet(TimePoint ts, double bytes) noexcept {
+void BasicMementoHhhDetector<D>::reset() {
+  clear_windows();  // the RNG is deliberately not reseeded
+}
+
+template <typename D>
+void BasicMementoHhhDetector<D>::note_packet(TimePoint ts, double bytes) const noexcept {
   const auto cap = static_cast<std::int64_t>(total_frame_ids_.size());
   const std::int64_t f = frame_of(ts);
   if (f > current_frame_) {
@@ -85,7 +97,7 @@ void BasicMementoHhhDetector<D>::note_packet(TimePoint ts, double bytes) noexcep
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::offer(const PacketRecord& packet) {
+void BasicMementoHhhDetector<D>::add(const PacketRecord& packet) {
   if (packet.family() != D::kFamily) return;
   note_packet(packet.ts, packet.ip_len);
   const std::size_t level = static_cast<std::size_t>(rng_.below(levels_.size()));
@@ -94,11 +106,11 @@ void BasicMementoHhhDetector<D>::offer(const PacketRecord& packet) {
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::offer_batch(std::span<const PacketRecord> packets) {
+void BasicMementoHhhDetector<D>::add_batch(std::span<const PacketRecord> packets) {
   // Amortized level draws, exactly as in RHHH's add_batch: one xoshiro
   // output yields two 32-bit halves, each Lemire-reduced to [0, H) — two
   // uniform draws per RNG step, no rejection loop. Per-packet choices stay
-  // independent and uniform, so query() statistics match the offer() loop.
+  // independent and uniform, so query() statistics match the add() loop.
   const std::uint64_t num_levels = levels_.size();
   const unsigned* const lens = params_.hierarchy.lengths().data();
   std::uint32_t spare = 0;
@@ -123,7 +135,7 @@ void BasicMementoHhhDetector<D>::offer_batch(std::span<const PacketRecord> packe
 }
 
 template <typename D>
-double BasicMementoHhhDetector<D>::window_total(TimePoint now) {
+double BasicMementoHhhDetector<D>::window_total(TimePoint now) const {
   note_packet(now, 0.0);  // advance the total ring without accounting bytes
   const std::int64_t oldest = current_frame_ - static_cast<std::int64_t>(params_.frames);
   double sum = 0.0;
@@ -136,7 +148,7 @@ double BasicMementoHhhDetector<D>::window_total(TimePoint now) {
 }
 
 template <typename D>
-HhhSet BasicMementoHhhDetector<D>::query(TimePoint now, double phi) {
+HhhSet BasicMementoHhhDetector<D>::query(TimePoint now, double phi) const {
   HhhSet result;
   const double total = window_total(now);
   result.total_bytes = static_cast<std::uint64_t>(total);
@@ -185,11 +197,11 @@ HhhSet BasicMementoHhhDetector<D>::query(TimePoint now, double phi) {
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::merge_from(const MementoDetector& other) {
+void BasicMementoHhhDetector<D>::merge_from(const HhhEngine& other) {
   const auto* peer = dynamic_cast<const BasicMementoHhhDetector*>(&other);
   if (peer == nullptr) {
-    throw std::invalid_argument("MementoHhhDetector::merge_from: family mismatch ('" +
-                                other.name() + "')");
+    throw std::invalid_argument("MementoHhhDetector::merge_from: cannot merge '" +
+                                other.name() + "' into '" + name() + "'");
   }
   if (!same_geometry(peer->params_, params_)) {
     throw std::invalid_argument("MementoHhhDetector::merge_from: Params mismatch");

@@ -13,12 +13,13 @@
 /// sampled, so phi-relative thresholds are computed against the true
 /// trailing volume.
 ///
-/// Against WcssSlidingHhhDetector this keeps the same sharp window
-/// semantics and epsilon class while replacing O(H) per-packet updates
-/// with per-update frame-ring scans by one sampled amortized-O(1) update
-/// — the `sliding` section of bench/throughput measures the gap. Unlike
-/// WCSS (IPv4-only) it is family-generic: `MementoHhhDetector` (v4) and
-/// `MementoHhhV6Detector` (v6) instantiate one template.
+/// Against the per-level windowed Space-Saving design (WCSS, ref [1])
+/// this keeps the same sharp window semantics and epsilon class while
+/// replacing O(H) per-packet updates with per-update frame-ring scans by
+/// one sampled amortized-O(1) update, and it is family-generic:
+/// `MementoHhhDetector` (v4) and `MementoHhhV6Detector` (v6) instantiate
+/// one template. The `sliding` section of bench/throughput measures it
+/// against the exact rolling detector.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/hhh_types.hpp"
 #include "net/hierarchy.hpp"
 #include "net/packet.hpp"
@@ -46,59 +48,51 @@ struct MementoHhhParams {
   std::uint64_t seed = 0x3E3E'0001;         ///< level-sampler RNG seed
 };
 
-/// Family-erased interface of the Memento sliding-window detectors — what
-/// the pipeline stage, the merge ledger and the frame ring hold so one
-/// code path serves v4 and v6 snapshots. The per-packet hot loops live in
-/// the concrete offer_batch(); the interface costs one virtual call per
-/// batch, not per packet.
-class MementoDetector {
+/// Family-erased interface of the Memento sliding-window detectors. A
+/// Memento detector is one more HhhEngine — mergeable and serializable —
+/// so the merge ledger, the frame ring and the wire codecs decode, merge
+/// and extract it on the same path as every engine snapshot. Its
+/// extract(phi) answers for the trailing window at its newest frame:
+/// query(high_watermark(), phi). What stays on this interface is the
+/// sliding-only surface: a query at an arbitrary instant (the pipeline
+/// stage reports at each window event's end) and the watermark itself.
+///
+/// add()/add_batch() require non-decreasing timestamps. merge_from()
+/// folds per-level summaries and window totals (error bounds sum per
+/// level as for RHHH merges) and throws std::invalid_argument on a
+/// family or Params mismatch; save_state() writes params, sampler RNG
+/// state, total ring and every level's window state (kMementoDetector
+/// frames). memory_bytes() is bounded by Params, independent of traffic
+/// volume; name() is "memento" (IPv4) or "memento_v6" (IPv6).
+class MementoDetector : public HhhEngine {
  public:
-  /// Detectors are owned polymorphically by stages and ledgers.
-  virtual ~MementoDetector() = default;
-
-  /// Account one packet (sampling one hierarchy level); timestamps must
-  /// be non-decreasing. Packets of the other family are ignored.
-  virtual void offer(const PacketRecord& packet) = 0;
-
-  /// Account a timestamp-ordered run of packets. Amortized level draws
-  /// (two Lemire-reduced draws per RNG step, as in RHHH's add_batch);
-  /// same level distribution and window totals as the offer() loop.
-  virtual void offer_batch(std::span<const PacketRecord> packets) = 0;
-
   /// HHHs of the trailing window as of `now`, at relative threshold `phi`
-  /// (T = phi * exact window volume), computable at any instant.
-  virtual HhhSet query(TimePoint now, double phi) = 0;
+  /// (T = phi * exact window volume), computable at any instant. Const:
+  /// it advances only the lazy expiry cursors, not accounted state.
+  virtual HhhSet query(TimePoint now, double phi) const = 0;
 
   /// Exact total bytes within the trailing window as of `now`
   /// (conservatively including the partially expired oldest frame).
-  virtual double window_total(TimePoint now) = 0;
-
-  /// Fold another detector's per-level summaries and window totals into
-  /// this one (sharded/multi-vantage sliding deployments; error bounds
-  /// sum per level as for RHHH merges). Throws std::invalid_argument on
-  /// a family or Params mismatch.
-  virtual void merge_from(const MementoDetector& other) = 0;
+  virtual double window_total(TimePoint now) const = 0;
 
   /// Start of the newest frame observed; TimePoint() before any traffic.
-  /// The natural query instant for a restored or merged detector.
+  /// The query instant of extract() — and the natural one for a restored
+  /// or merged detector, since merge_from() keeps the newer frame.
   virtual TimePoint high_watermark() const noexcept = 0;
-
-  /// Write params, sampler RNG state, total ring and every level's window
-  /// state to the wire (wire v2; kMementoDetector frames).
-  virtual void save_state(wire::Writer& w) const = 0;
-
-  /// Restore state written by save_state() into a detector constructed
-  /// with the same Params; throws wire::WireFormatError on mismatch.
-  virtual void load_state(wire::Reader& r) = 0;
-
-  /// Heap footprint — bounded by Params, independent of traffic volume.
-  virtual std::size_t memory_bytes() const noexcept = 0;
-
-  /// "memento" for the IPv4 instantiation, "memento_v6" for IPv6.
-  virtual std::string name() const = 0;
 
   /// The construction parameters (merge compatibility checks).
   virtual const MementoHhhParams& params() const noexcept = 0;
+
+  /// The trailing window at the newest frame: query(high_watermark(), phi).
+  HhhSet extract(double phi) const final { return query(high_watermark(), phi); }
+
+  /// Bytes of the trailing window at the newest frame.
+  std::uint64_t total_bytes() const final {
+    return static_cast<std::uint64_t>(window_total(high_watermark()));
+  }
+
+  bool mergeable() const final { return true; }
+  bool serializable() const final { return true; }
 };
 
 /// The concrete per-family detector (see file header).
@@ -113,11 +107,18 @@ class BasicMementoHhhDetector final : public MementoDetector {
   /// std::invalid_argument otherwise.
   explicit BasicMementoHhhDetector(const Params& params);
 
-  void offer(const PacketRecord& packet) override;
-  void offer_batch(std::span<const PacketRecord> packets) override;
-  HhhSet query(TimePoint now, double phi) override;
-  double window_total(TimePoint now) override;
-  void merge_from(const MementoDetector& other) override;
+  /// Account one packet, sampling one hierarchy level. Packets of the
+  /// other family are ignored.
+  void add(const PacketRecord& packet) override;
+  /// Amortized level draws (two Lemire-reduced draws per RNG step, as in
+  /// RHHH's add_batch); same level distribution and window totals as the
+  /// add() loop.
+  void add_batch(std::span<const PacketRecord> packets) override;
+  /// Drop every window; the sampler keeps its stream (as RhhhEngine's).
+  void reset() override;
+  HhhSet query(TimePoint now, double phi) const override;
+  double window_total(TimePoint now) const override;
+  void merge_from(const HhhEngine& other) override;
   TimePoint high_watermark() const noexcept override;
   void save_state(wire::Writer& w) const override;
   void load_state(wire::Reader& r) override;
@@ -128,19 +129,23 @@ class BasicMementoHhhDetector final : public MementoDetector {
  private:
   friend std::unique_ptr<MementoDetector> deserialize_memento_detector(wire::Reader& r);
 
-  void note_packet(TimePoint ts, double bytes) noexcept;
+  void clear_windows();
+  void note_packet(TimePoint ts, double bytes) const noexcept;
   std::int64_t frame_of(TimePoint t) const noexcept { return t.ns() / frame_len_.ns(); }
   void read_state(wire::Reader& r);
 
   Params params_;
   Rng rng_;
   Duration frame_len_;
-  std::vector<BasicMementoSummary<D>> levels_;
+  // mutable: query()/window_total() advance the summaries' lazy expiry
+  // cursors and the total ring's frame cursor (logically const — they
+  // change no accounted bytes).
+  mutable std::vector<BasicMementoSummary<D>> levels_;
   // Exact per-frame byte totals (every packet, independent of the sampled
   // level): the threshold denominator is not subject to sampling noise.
-  std::int64_t current_frame_ = -1;
-  std::vector<std::int64_t> total_frame_ids_;
-  std::vector<double> total_frame_bytes_;
+  mutable std::int64_t current_frame_ = -1;
+  mutable std::vector<std::int64_t> total_frame_ids_;
+  mutable std::vector<double> total_frame_bytes_;
 };
 
 /// The IPv4 detector (name "memento").

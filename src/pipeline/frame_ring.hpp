@@ -24,8 +24,9 @@
 /// produce the same HHH set as an offline merge of those frames
 /// (pipeline_frame_ring_test pins this).
 ///
-/// Layering: sits above wire/ and core/ (it decodes engine, WCSS and
-/// Memento frames itself) and beside the sinks; service/ is not involved.
+/// Layering: sits above wire/ and core/ (it decodes frames itself with
+/// wire::load_engine — Memento detectors are engines too) and beside the
+/// sinks; service/ is not involved.
 #pragma once
 
 #include <cstdint>
@@ -80,7 +81,8 @@ class FrameRing {
   /// extract once. All selected frames must decode into one
   /// compatibility group (one stage feeds one ring); throws
   /// std::invalid_argument on mixed kinds and wire::WireFormatError on
-  /// malformed frames. An empty selection yields an empty report.
+  /// malformed frames or frames that hold no engine. An empty selection
+  /// yields an empty report.
   IntervalReport query_interval(TimePoint t1, TimePoint t2, double phi) const;
 
   /// Retained frame count (<= capacity).

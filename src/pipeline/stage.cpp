@@ -6,7 +6,6 @@
 #include "core/engine.hpp"
 #include "core/sharded_engine.hpp"
 #include "wire/snapshot.hpp"
-#include "wire/wire.hpp"
 
 namespace hhh::pipeline {
 
@@ -69,39 +68,6 @@ class EngineStage final : public MeasurementStage {
   mutable std::unique_ptr<HhhEngine> folded_;
 };
 
-class WcssStage final : public MeasurementStage {
- public:
-  explicit WcssStage(const WcssSlidingHhhDetector::Params& params) : detector_(params) {}
-
-  void ingest(std::span<const PacketRecord> run) override {
-    detector_.offer_batch(run);
-  }
-
-  HhhSet report(const WindowEvent& event, double phi) override {
-    return detector_.query(event.end, phi);
-  }
-
-  bool serializable() const override { return true; }
-
-  std::vector<std::uint8_t> snapshot() const override {
-    std::vector<std::uint8_t> payload;
-    wire::Writer w(payload);
-    detector_.save_state(w);
-    return wire::build_frame(wire::SnapshotKind::kWcssDetector, payload);
-  }
-
-  std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(detector_.window_total(detector_.high_watermark()));
-  }
-  std::size_t memory_bytes() const override { return detector_.memory_bytes(); }
-  std::string name() const override { return "wcss"; }
-
- private:
-  // mutable: window_total()/query() advance the summaries' expiry cursors
-  // (logically const — they change no accounted state).
-  mutable WcssSlidingHhhDetector detector_;
-};
-
 class SlidingExactStage final : public MeasurementStage {
  public:
   explicit SlidingExactStage(const SlidingWindowHhhDetector::Params& params)
@@ -158,9 +124,11 @@ class MementoStage final : public MeasurementStage {
   }
 
   void ingest(std::span<const PacketRecord> run) override {
-    detector_->offer_batch(run);
+    detector_->add_batch(run);
   }
 
+  // Reports at the event's end, not at the high watermark: a step whose
+  // tail carried no traffic still slides the window up to its boundary.
   HhhSet report(const WindowEvent& event, double phi) override {
     return detector_->query(event.end, phi);
   }
@@ -168,16 +136,10 @@ class MementoStage final : public MeasurementStage {
   bool serializable() const override { return true; }
 
   std::vector<std::uint8_t> snapshot() const override {
-    std::vector<std::uint8_t> payload;
-    wire::Writer w(payload);
-    detector_->save_state(w);
-    return wire::build_frame(wire::SnapshotKind::kMementoDetector, payload);
+    return wire::save_engine(*detector_);
   }
 
-  std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(
-        detector_->window_total(detector_->high_watermark()));
-  }
+  std::uint64_t total_bytes() const override { return detector_->total_bytes(); }
   std::size_t memory_bytes() const override { return detector_->memory_bytes(); }
   std::string name() const override { return detector_->name(); }
 
@@ -215,11 +177,6 @@ class TdbfStage final : public MeasurementStage {
 
 std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> engine) {
   return std::make_unique<EngineStage>(std::move(engine));
-}
-
-std::unique_ptr<MeasurementStage> make_wcss_stage(
-    const WcssSlidingHhhDetector::Params& params) {
-  return std::make_unique<WcssStage>(params);
 }
 
 std::unique_ptr<MeasurementStage> make_sliding_exact_stage(

@@ -15,22 +15,7 @@ double Thresholds::scope_phi(double scope_total) const {
 }
 
 Scope decode_scope(const wire::FrameView& frame, std::string label) {
-  Scope scope;
-  scope.label = std::move(label);
-  if (frame.kind == wire::SnapshotKind::kWcssDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    scope.wcss = WcssSlidingHhhDetector::deserialize(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-  } else if (frame.kind == wire::SnapshotKind::kMementoDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    scope.memento = deserialize_memento_detector(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-  } else {
-    scope.engine = wire::load_engine(frame);
-  }
-  return scope;
+  return Scope{.label = std::move(label), .engine = wire::load_engine(frame)};
 }
 
 MergeLedger::MergeLedger(Thresholds thresholds) : thresholds_(thresholds) {}
@@ -45,42 +30,15 @@ MergeLedger::Group* MergeLedger::find_group(const std::string& key) {
 HhhSet MergeLedger::fold(Scope scope) {
   // Extract the scope's local view BEFORE merging: what this single
   // vantage would report on its own is what defines "seen locally".
-  HhhSet local;
-  std::string key;
-  TimePoint watermark;
-  if (scope.wcss) {
-    key = "wcss";
-    watermark = scope.wcss->high_watermark();
-    local = scope.wcss->query(watermark,
-                              thresholds_.scope_phi(scope.wcss->window_total(watermark)));
-  } else if (scope.memento) {
-    key = scope.memento->name();
-    watermark = scope.memento->high_watermark();
-    local = scope.memento->query(
-        watermark, thresholds_.scope_phi(scope.memento->window_total(watermark)));
-  } else {
-    key = scope.engine->name();
-    local = scope.engine->extract(
-        thresholds_.scope_phi(static_cast<double>(scope.engine->total_bytes())));
-  }
+  const HhhSet local = scope.engine->extract(
+      thresholds_.scope_phi(static_cast<double>(scope.engine->total_bytes())));
   seen_locally_.add(local.prefixes());
 
+  std::string key = scope.engine->name();
   if (Group* group = find_group(key)) {
-    if (scope.wcss) {
-      group->wcss->merge_from(*scope.wcss);
-      group->watermark = std::max(group->watermark, watermark);
-    } else if (scope.memento) {
-      group->memento->merge_from(*scope.memento);
-      group->watermark = std::max(group->watermark, watermark);
-    } else {
-      group->engine->merge_from(*scope.engine);
-    }
+    group->engine->merge_from(*scope.engine);
   } else {
-    groups_.push_back(Group{.key = std::move(key),
-                            .engine = std::move(scope.engine),
-                            .wcss = std::move(scope.wcss),
-                            .memento = std::move(scope.memento),
-                            .watermark = watermark});
+    groups_.push_back(Group{.key = std::move(key), .engine = std::move(scope.engine)});
   }
   ++scopes_folded_;
   return local;
@@ -89,15 +47,7 @@ HhhSet MergeLedger::fold(Scope scope) {
 void MergeLedger::absorb(MergeLedger&& other) {
   for (Group& incoming : other.groups_) {
     if (Group* group = find_group(incoming.key)) {
-      if (incoming.wcss) {
-        group->wcss->merge_from(*incoming.wcss);
-        group->watermark = std::max(group->watermark, incoming.watermark);
-      } else if (incoming.memento) {
-        group->memento->merge_from(*incoming.memento);
-        group->watermark = std::max(group->watermark, incoming.watermark);
-      } else {
-        group->engine->merge_from(*incoming.engine);
-      }
+      group->engine->merge_from(*incoming.engine);
     } else {
       groups_.push_back(std::move(incoming));
     }
@@ -108,23 +58,15 @@ void MergeLedger::absorb(MergeLedger&& other) {
   other.scopes_folded_ = 0;
 }
 
-LedgerReport MergeLedger::report() {
+LedgerReport MergeLedger::report() const {
   LedgerReport out;
   out.scopes_folded = scopes_folded_;
   PrefixUnion hidden;
-  for (Group& g : groups_) {
+  for (const Group& g : groups_) {
     GroupReport group;
     group.key = g.key;
-    if (g.wcss) {
-      group.merged = g.wcss->query(
-          g.watermark, thresholds_.scope_phi(g.wcss->window_total(g.watermark)));
-    } else if (g.memento) {
-      group.merged = g.memento->query(
-          g.watermark, thresholds_.scope_phi(g.memento->window_total(g.watermark)));
-    } else {
-      group.merged = g.engine->extract(
-          thresholds_.scope_phi(static_cast<double>(g.engine->total_bytes())));
-    }
+    group.merged = g.engine->extract(
+        thresholds_.scope_phi(static_cast<double>(g.engine->total_bytes())));
     // The reveal: heavy in the merged view, reported by no single scope.
     hidden.add(prefix_difference(group.merged.prefixes(), seen_locally_.values()));
     out.groups.push_back(std::move(group));
@@ -136,21 +78,7 @@ LedgerReport MergeLedger::report() {
 std::vector<std::vector<std::uint8_t>> MergeLedger::save_group_frames() const {
   std::vector<std::vector<std::uint8_t>> frames;
   frames.reserve(groups_.size());
-  for (const Group& g : groups_) {
-    if (g.wcss) {
-      std::vector<std::uint8_t> payload;
-      wire::Writer w(payload);
-      g.wcss->save_state(w);
-      frames.push_back(wire::build_frame(wire::SnapshotKind::kWcssDetector, payload));
-    } else if (g.memento) {
-      std::vector<std::uint8_t> payload;
-      wire::Writer w(payload);
-      g.memento->save_state(w);
-      frames.push_back(wire::build_frame(wire::SnapshotKind::kMementoDetector, payload));
-    } else {
-      frames.push_back(wire::save_engine(*g.engine));
-    }
-  }
+  for (const Group& g : groups_) frames.push_back(wire::save_engine(*g.engine));
   return frames;
 }
 
@@ -159,7 +87,9 @@ void MergeLedger::save_state(wire::Writer& w) const {
   w.u64(groups_.size());
   for (std::size_t i = 0; i < groups_.size(); ++i) {
     w.str(groups_[i].key);
-    wire::write_timepoint(w, groups_[i].watermark);
+    // Reserved slot, written as zero: it held the sliding query instant,
+    // which the group's own frame now carries (high_watermark()).
+    wire::write_timepoint(w, TimePoint());
     w.u64(frames[i].size());
     w.raw(frames[i].data(), frames[i].size());
   }
@@ -175,21 +105,13 @@ void MergeLedger::load_state(wire::Reader& r) {
   const std::uint64_t n_groups = r.count(1);
   for (std::uint64_t i = 0; i < n_groups; ++i) {
     const std::string key = r.str();
-    const TimePoint watermark = wire::read_timepoint(r);
+    wire::read_timepoint(r);  // reserved slot (see save_state)
     const std::uint64_t len = r.count(1);
     const std::span<const std::uint8_t> rest = r.peek_rest();
     wire::check(len <= rest.size(), wire::WireError::kTruncated,
                 "ledger group frame exceeds available bytes");
-    const wire::FrameView frame = wire::parse_frame(rest.subspan(0, len));
-    wire::check(frame.frame_size == len, wire::WireError::kTrailingBytes,
-                "ledger group bytes continue past their frame");
-    Scope scope = decode_scope(frame, key);
+    groups_.push_back(Group{.key = key, .engine = wire::load_engine(rest.subspan(0, len))});
     r.skip(len);
-    groups_.push_back(Group{.key = key,
-                            .engine = std::move(scope.engine),
-                            .wcss = std::move(scope.wcss),
-                            .memento = std::move(scope.memento),
-                            .watermark = watermark});
   }
   const std::uint64_t n_seen = r.count(1);
   for (std::uint64_t i = 0; i < n_seen; ++i) seen_locally_.add(wire::read_prefix(r));

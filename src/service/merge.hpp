@@ -3,14 +3,12 @@
 /// offline `hhh-collector` tool and the `hhh-collectord` daemon, so the
 /// file path and the socket path cannot drift.
 ///
-/// A ledger folds vantage *scopes* (decoded snapshot frames: one engine,
-/// one WCSS sliding detector, or one Memento sliding detector each) and
-/// maintains:
+/// A ledger folds vantage *scopes* (decoded snapshot frames: one engine
+/// each — a Memento sliding detector is an engine too) and maintains:
 ///
-///   * per compatibility group (keyed by engine name; WCSS detectors key
-///     as "wcss", Memento detectors as their family name), a running
-///     merged head via the same
-///     merge_from() semantics the sharded front-end uses in-process;
+///   * per compatibility group (keyed by engine name), a running merged
+///     head via the same merge_from() semantics the sharded front-end uses
+///     in-process;
 ///   * the union of every scope's *locally extracted* HHH prefixes —
 ///     extraction happens inside fold(), before the scope is merged,
 ///     exactly like the tool's pre-merge extraction pass.
@@ -30,9 +28,6 @@
 
 #include "core/engine.hpp"
 #include "core/hhh_types.hpp"
-#include "core/memento_hhh.hpp"
-#include "core/wcss_hhh.hpp"
-#include "util/sim_time.hpp"
 #include "wire/snapshot.hpp"
 
 namespace hhh::service {
@@ -51,24 +46,21 @@ struct Thresholds {
   double scope_phi(double scope_total) const;
 };
 
-/// One decoded vantage contribution: exactly one of engine/wcss/memento
-/// is set.
+/// One decoded vantage contribution.
 struct Scope {
-  std::string label;                            ///< origin (stats, logs)
-  std::unique_ptr<HhhEngine> engine;            ///< engine snapshots
-  std::unique_ptr<WcssSlidingHhhDetector> wcss; ///< WCSS sliding snapshots
-  std::unique_ptr<MementoDetector> memento;     ///< Memento sliding snapshots
+  std::string label;                  ///< origin (stats, logs)
+  std::unique_ptr<HhhEngine> engine;  ///< the decoded snapshot
 };
 
-/// Decode one snapshot frame into a Scope. Throws wire::WireFormatError
-/// on malformed payloads and for frame kinds that are not vantage state
-/// (stream-protocol frames, checkpoints).
+/// Decode one snapshot frame into a Scope (wire::load_engine). Throws
+/// wire::WireFormatError on malformed payloads and, with
+/// kUnsupportedEngine, for frame kinds that are not vantage state
+/// (stream-protocol frames, checkpoints, the retired WCSS kind 6).
 Scope decode_scope(const wire::FrameView& frame, std::string label);
 
 /// One merged compatibility group in a report.
 struct GroupReport {
-  std::string key;  ///< engine name; sliding detectors key as "wcss" /
-                    ///< "memento" / "memento_v6"
+  std::string key;  ///< engine name ("exact", "memento_v6", ...)
   HhhSet merged;    ///< the group's network-wide HHH set
 };
 
@@ -99,8 +91,7 @@ class MergeLedger {
   void absorb(MergeLedger&& other);
 
   /// Extract every group's merged set and compute the hidden HHHs.
-  /// Non-const: sliding-window queries advance detector bookkeeping.
-  LedgerReport report();
+  LedgerReport report() const;
 
   /// Every group head serialized as one snapshot frame, concatenated —
   /// the same self-delimiting stream `hhh-collector --stdin` consumes,
@@ -128,9 +119,6 @@ class MergeLedger {
   struct Group {
     std::string key;
     std::unique_ptr<HhhEngine> engine;
-    std::unique_ptr<WcssSlidingHhhDetector> wcss;
-    std::unique_ptr<MementoDetector> memento;
-    TimePoint watermark;  ///< max high_watermark folded (sliding query instant)
   };
 
   Group* find_group(const std::string& key);

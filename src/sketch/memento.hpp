@@ -4,18 +4,18 @@
 /// heavy hitters", CoNEXT 2018 / arXiv 1810.02899): O(1) amortized window
 /// maintenance, versus WCSS's per-update scan over the frame ring.
 ///
-/// Like WCSS (sketch/wcss.hpp) the trailing window W is decomposed into
-/// `frames` equal sub-frames, but the decomposition is inverted: instead
-/// of one Space-Saving summary *per frame* (m+1 summaries whose expiry is
-/// re-checked on every update and whose live entries are re-merged on
-/// every query), ONE bounded table of `counters` slots spans the whole
-/// window, and each slot keeps a tiny succession-of-frames ring of
-/// (frame, delta) contributions. Expiry is lazy and amortized: a slot
-/// pops its expired head entries only when it is touched (update, query,
-/// eviction), and every popped entry was pushed exactly once — O(1)
-/// amortized per update, with no per-update work proportional to the
-/// frame count. The global clock advances only on frame *boundaries*
-/// (at most once per frame, not once per packet).
+/// Like WCSS (window-compact Space-Saving, ref [1]) the trailing window W
+/// is decomposed into `frames` equal sub-frames, but the decomposition is
+/// inverted: instead of one Space-Saving summary *per frame* (m+1
+/// summaries whose expiry is re-checked on every update and whose live
+/// entries are re-merged on every query), ONE bounded table of `counters`
+/// slots spans the whole window, and each slot keeps a tiny
+/// succession-of-frames ring of (frame, delta) contributions. Expiry is
+/// lazy and amortized: a slot pops its expired head entries only when it
+/// is touched (update, query, eviction), and every popped entry was
+/// pushed exactly once — O(1) amortized per update, with no per-update
+/// work proportional to the frame count. The global clock advances only
+/// on frame *boundaries* (at most once per frame, not once per packet).
 ///
 /// Eviction follows Space-Saving: a min-heap over window counts picks the
 /// victim; before trusting the heap top its expired entries are popped
@@ -33,7 +33,7 @@
 ///
 /// Templated on the key domain (net/key_domain.hpp), so the per-level
 /// summaries of core/memento_hhh.hpp serve both IPv4 and IPv6
-/// hierarchies; WindowedSpaceSaving is 64-bit-key-only by comparison.
+/// hierarchies.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +97,7 @@ class BasicMementoSummary {
   /// the union of tracked keys exceeds the capacity only the heaviest
   /// `counters` merged keys survive (anything dropped has merged count
   /// <= every survivor's, the Space-Saving merge invariant). Per-key
-  /// overestimates sum, exactly as for WindowedSpaceSaving merges.
+  /// overestimates sum, exactly as for Space-Saving merges.
   /// Self-merge doubles every count. Throws std::invalid_argument on a
   /// Params mismatch.
   void merge_from(const BasicMementoSummary& other);

@@ -6,6 +6,7 @@
 #include "core/ancestry_hhh.hpp"
 #include "core/engine.hpp"
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "core/univmon_hhh.hpp"
 
@@ -133,6 +134,7 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine) {
   if (name == "ancestry") return SnapshotKind::kAncestryEngine;
   if (name == "univmon") return SnapshotKind::kUnivmonEngine;
   if (name.starts_with("sharded_")) return SnapshotKind::kShardedEngine;
+  if (name == "memento" || name == "memento_v6") return SnapshotKind::kMementoDetector;
   throw WireFormatError(WireError::kUnsupportedEngine,
                         "no snapshot kind for engine '" + name + "'");
 }
@@ -160,6 +162,9 @@ std::unique_ptr<HhhEngine> load_engine(const FrameView& frame) {
       break;
     case SnapshotKind::kUnivmonEngine:
       engine = UnivmonHhhEngine::deserialize(r);
+      break;
+    case SnapshotKind::kMementoDetector:
+      engine = deserialize_memento_detector(r);
       break;
     case SnapshotKind::kShardedEngine:
       throw WireFormatError(

@@ -64,7 +64,7 @@ enum class SnapshotKind : std::uint16_t {
   kAncestryEngine = 3,  ///< AncestryHhhEngine
   kUnivmonEngine = 4,   ///< UnivmonHhhEngine
   kShardedEngine = 5,   ///< ShardedHhhEngine (restore-in-place only)
-  kWcssDetector = 6,    ///< WcssSlidingHhhDetector
+  kWcssDetector = 6,    ///< retired (WCSS sliding detector): refused, never reused
   kTdbfDetector = 7,    ///< TimeDecayingHhhDetector checkpoint
   kDisjointWindow = 8,  ///< DisjointWindowHhhDetector checkpoint
   kStreamHello = 9,     ///< collector-service stream greeting (service/frame_stream.hpp)
@@ -133,10 +133,13 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine);
 /// Serialize `engine` into one framed snapshot.
 std::vector<std::uint8_t> save_engine(const HhhEngine& engine);
 
-/// Construct a new engine from a snapshot frame. `buffer` must contain
-/// exactly one frame (kTrailingBytes otherwise — use parse_frame for
-/// streams). Sharded snapshots are rejected with kUnsupportedEngine:
-/// their factory cannot travel, restore them with load_engine_into().
+/// Construct a new engine from a snapshot frame (Memento detectors
+/// included). `buffer` must contain exactly one frame (kTrailingBytes
+/// otherwise — use parse_frame for streams). Sharded snapshots are
+/// rejected with kUnsupportedEngine: their factory cannot travel, restore
+/// them with load_engine_into(). Frames that hold no engine (stream
+/// protocol, checkpoints, the retired WCSS kind 6) are refused with
+/// kUnsupportedEngine too.
 std::unique_ptr<HhhEngine> load_engine(std::span<const std::uint8_t> buffer);
 
 /// Construct a new engine from an already-validated frame.

@@ -11,7 +11,6 @@
 #include "core/disjoint_window.hpp"
 #include "core/rhhh.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "wire/wire.hpp"
@@ -130,69 +129,6 @@ TEST(DisjointWindowCheckpoint, RestoreIntoMismatchedParamsIsTyped) {
   } catch (const wire::WireFormatError& e) {
     EXPECT_EQ(e.code(), wire::WireError::kParamsMismatch);
   }
-}
-
-TEST(WcssDetectorSnapshot, RoundTripPreservesQueries) {
-  WcssSlidingHhhDetector::Params params{.window = Duration::seconds(2),
-                                        .frames = 8,
-                                        .counters_per_level = 128};
-  WcssSlidingHhhDetector original(params);
-  const auto packets = workload(0xC4EC'0003);
-  for (const auto& p : packets) original.offer(p);
-
-  std::vector<std::uint8_t> bytes;
-  wire::Writer w(bytes);
-  original.save_state(w);
-
-  // Restore into an identically-configured detector...
-  WcssSlidingHhhDetector restored(params);
-  {
-    wire::Reader r(bytes);
-    restored.load_state(r);
-  }
-  // ...and construct one straight from the payload (the collector path).
-  wire::Reader r2(bytes);
-  auto standalone = WcssSlidingHhhDetector::deserialize(r2);
-
-  const TimePoint now = original.high_watermark();
-  EXPECT_EQ(restored.high_watermark(), now);
-  EXPECT_EQ(standalone->high_watermark(), now);
-  for (const double phi : {0.02, 0.1}) {
-    EXPECT_TRUE(harness::hhh_sets_equal(original.query(now, phi), restored.query(now, phi)));
-    EXPECT_TRUE(
-        harness::hhh_sets_equal(original.query(now, phi), standalone->query(now, phi)));
-  }
-}
-
-TEST(WcssDetectorSnapshot, WireMergeEqualsInProcessMerge) {
-  // The collector invariant for the sliding model: crossing the wire must
-  // not change what the frame-aligned merge produces.
-  WcssSlidingHhhDetector::Params params{.window = Duration::seconds(2),
-                                        .frames = 8,
-                                        .counters_per_level = 128};
-  const auto stream_a = workload(0xC4EC'0004);
-  const auto stream_b = workload(0xC4EC'0005);
-
-  WcssSlidingHhhDetector ref_a(params), ref_b(params);
-  for (const auto& p : stream_a) ref_a.offer(p);
-  for (const auto& p : stream_b) ref_b.offer(p);
-  ref_a.merge_from(ref_b);
-
-  WcssSlidingHhhDetector live_a(params), live_b(params);
-  for (const auto& p : stream_a) live_a.offer(p);
-  for (const auto& p : stream_b) live_b.offer(p);
-  std::vector<std::uint8_t> bytes_a, bytes_b;
-  wire::Writer wa(bytes_a), wb(bytes_b);
-  live_a.save_state(wa);
-  live_b.save_state(wb);
-  wire::Reader ra(bytes_a), rb(bytes_b);
-  auto wire_a = WcssSlidingHhhDetector::deserialize(ra);
-  auto wire_b = WcssSlidingHhhDetector::deserialize(rb);
-  wire_a->merge_from(*wire_b);
-
-  const TimePoint now = ref_a.high_watermark();
-  EXPECT_EQ(wire_a->high_watermark(), now);
-  EXPECT_TRUE(harness::hhh_sets_equal(ref_a.query(now, 0.05), wire_a->query(now, 0.05)));
 }
 
 TEST(TdbfDetectorCheckpoint, RoundTripPreservesContinuousQueries) {

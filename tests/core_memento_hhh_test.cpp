@@ -1,7 +1,7 @@
 // The Memento sliding-window HHH detector's contract: sharp window
 // expiry at frame granularity, query-at-any-instant accuracy bracketed
 // against the exact sliding detector, merge semantics, snapshot
-// round-trips, and bounded state.
+// round-trips, the HhhEngine surface, and bounded state.
 #include "core/memento_hhh.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/level_aggregates.hpp"
 #include "harness/golden.hpp"
 #include "trace/synthetic_trace.hpp"
+#include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
 namespace hhh {
@@ -46,8 +47,8 @@ bool contains(const HhhSet& set, const PrefixKey& p) {
 TEST(MementoHhh, SteadyHeavySourceDetected) {
   MementoHhhDetector det({.window = Duration::seconds(10)});
   for (int i = 0; i < 4000; ++i) {
-    det.offer(pkt(i * 0.005, ip("10.1.2.3"), 700));
-    det.offer(pkt(i * 0.005, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
+    det.add(pkt(i * 0.005, ip("10.1.2.3"), 700));
+    det.add(pkt(i * 0.005, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
   const auto result = det.query(at(20.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.3/32")));
@@ -58,13 +59,13 @@ TEST(MementoHhh, SharpWindowExpiryAtFrameStep) {
   // frame (frame 1) stays inside the window through now < 7.0 and is
   // fully expired one frame step later — queries bracket the boundary.
   MementoHhhDetector det({.window = Duration::seconds(5), .frames = 5});
-  for (int i = 0; i < 400; ++i) det.offer(pkt(i * 0.005, ip("66.6.6.6"), 1000));
-  for (int i = 0; i < 440; ++i) det.offer(pkt(2.0 + i * 0.01, ip("50.0.0.1"), 200));
+  for (int i = 0; i < 400; ++i) det.add(pkt(i * 0.005, ip("66.6.6.6"), 1000));
+  for (int i = 0; i < 440; ++i) det.add(pkt(2.0 + i * 0.01, ip("50.0.0.1"), 200));
 
   const auto before = det.query(at(6.5), 0.3);
   EXPECT_TRUE(contains(before, pfx("66.6.6.6/32")));
 
-  for (int i = 0; i < 100; ++i) det.offer(pkt(6.5 + i * 0.01, ip("50.0.0.1"), 200));
+  for (int i = 0; i < 100; ++i) det.add(pkt(6.5 + i * 0.01, ip("50.0.0.1"), 200));
   const auto after = det.query(at(7.5), 0.3);
   EXPECT_FALSE(contains(after, pfx("66.6.6.6/32")));
   EXPECT_TRUE(contains(after, pfx("50.0.0.1/32")));
@@ -75,11 +76,11 @@ TEST(MementoHhh, HierarchicalAggregation) {
   // Four siblings, each ~12%: the /24 qualifies at 30%, the hosts do not.
   for (int i = 0; i < 3000; ++i) {
     const double t = i * 0.005;
-    det.offer(pkt(t, ip("10.1.2.1"), 120));
-    det.offer(pkt(t, ip("10.1.2.2"), 120));
-    det.offer(pkt(t, ip("10.1.2.3"), 120));
-    det.offer(pkt(t, ip("10.1.2.4"), 120));
-    det.offer(pkt(t, ip("99.0.0.1"), 520));
+    det.add(pkt(t, ip("10.1.2.1"), 120));
+    det.add(pkt(t, ip("10.1.2.2"), 120));
+    det.add(pkt(t, ip("10.1.2.3"), 120));
+    det.add(pkt(t, ip("10.1.2.4"), 120));
+    det.add(pkt(t, ip("99.0.0.1"), 520));
   }
   const auto result = det.query(at(15.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.0/24")));
@@ -101,7 +102,7 @@ TEST(MementoHhh, RecallAgainstExactSlidingWindow) {
       {.window = Duration::seconds(10), .frames = 10, .counters_per_level = 1024});
   LevelAggregates trailing(Hierarchy::byte_granularity());
   for (const auto& p : packets) {
-    det.offer(p);
+    det.add(p);
     if (p.ts >= at(30.0)) trailing.add(p.src(), p.ip_len);
   }
   const auto exact = extract_hhh_relative(trailing, 0.05);
@@ -121,15 +122,15 @@ TEST(MementoHhh, WindowTotalIsExactRegardlessOfSampling) {
   MementoHhhDetector det({.window = Duration::seconds(10), .frames = 10});
   double sum = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    det.offer(pkt(5.0 + i * 0.0005, ip("10.0.0.1"), 100 + i % 7));
+    det.add(pkt(5.0 + i * 0.0005, ip("10.0.0.1"), 100 + i % 7));
     sum += 100 + i % 7;
   }
   EXPECT_DOUBLE_EQ(det.window_total(at(7.5)), sum);
 }
 
-TEST(MementoHhh, OfferBatchMatchesOfferTotalsAndDetection) {
-  // offer_batch draws levels with the amortized two-halves scheme, so the
-  // summaries are not byte-identical to offer() — but window totals are
+TEST(MementoHhh, AddBatchMatchesAddTotalsAndDetection) {
+  // add_batch draws levels with the amortized two-halves scheme, so the
+  // summaries are not byte-identical to add() — but window totals are
   // exact on both paths and both detect the same heavy source.
   std::vector<PacketRecord> packets;
   for (int i = 0; i < 4000; ++i) {
@@ -137,8 +138,8 @@ TEST(MementoHhh, OfferBatchMatchesOfferTotalsAndDetection) {
     packets.push_back(pkt(i * 0.0025, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
   MementoHhhDetector one({}), batched({});
-  for (const auto& p : packets) one.offer(p);
-  batched.offer_batch(packets);
+  for (const auto& p : packets) one.add(p);
+  batched.add_batch(packets);
   EXPECT_DOUBLE_EQ(one.window_total(at(10.0)), batched.window_total(at(10.0)));
   EXPECT_TRUE(contains(one.query(at(10.0), 0.3), pfx("10.1.2.3/32")));
   EXPECT_TRUE(contains(batched.query(at(10.0), 0.3), pfx("10.1.2.3/32")));
@@ -149,10 +150,10 @@ TEST(MementoHhh, MergeCombinesVantages) {
   MementoHhhDetector a(params), b(params);
   for (int i = 0; i < 3000; ++i) {
     const double t = i * 0.003;
-    a.offer(pkt(t, ip("10.1.2.3"), 600));
-    a.offer(pkt(t, ip("50.0.0.1"), 400));
-    b.offer(pkt(t, ip("99.9.9.9"), 600));
-    b.offer(pkt(t, ip("60.0.0.1"), 400));
+    a.add(pkt(t, ip("10.1.2.3"), 600));
+    a.add(pkt(t, ip("50.0.0.1"), 400));
+    b.add(pkt(t, ip("99.9.9.9"), 600));
+    b.add(pkt(t, ip("60.0.0.1"), 400));
   }
   const double total_a = a.window_total(at(9.0));
   const double total_b = b.window_total(at(9.0));
@@ -174,7 +175,7 @@ TEST(MementoHhh, MergeRejectsMismatchedGeometry) {
 TEST(MementoHhh, SnapshotRoundTripPreservesQueries) {
   MementoHhhDetector det({.window = Duration::seconds(10), .frames = 8});
   for (int i = 0; i < 5000; ++i) {
-    det.offer(pkt(i * 0.002, ip(i % 3 ? "10.1.2.3" : "50.0.0.1"), 400 + i % 11));
+    det.add(pkt(i * 0.002, ip(i % 3 ? "10.1.2.3" : "50.0.0.1"), 400 + i % 11));
   }
   std::vector<std::uint8_t> payload;
   wire::Writer w(payload);
@@ -201,20 +202,49 @@ TEST(MementoHhh, SnapshotRoundTripPreservesQueries) {
   EXPECT_THROW(wrong.load_state(r3), wire::WireFormatError);
 }
 
+TEST(MementoHhh, EngineSurfaceAnswersAtTheWatermark) {
+  // As an HhhEngine the detector extracts the trailing window at its
+  // newest frame, travels as a kMementoDetector frame, and resets empty.
+  MementoHhhDetector det({.window = Duration::seconds(10), .frames = 8});
+  for (int i = 0; i < 5000; ++i) {
+    det.add(pkt(i * 0.003, ip(i % 3 ? "10.1.2.3" : "50.0.0.1"), 400 + i % 11));
+  }
+  const TimePoint now = det.high_watermark();
+  EXPECT_EQ(det.total_bytes(), static_cast<std::uint64_t>(det.window_total(now)));
+  EXPECT_TRUE(harness::hhh_sets_equal(det.extract(0.1), det.query(now, 0.1)));
+  EXPECT_TRUE(det.mergeable());
+
+  const auto frame = wire::save_engine(det);
+  EXPECT_EQ(wire::parse_frame(frame).kind, wire::SnapshotKind::kMementoDetector);
+  const auto loaded = wire::load_engine(frame);
+  EXPECT_EQ(loaded->name(), "memento");
+  EXPECT_TRUE(harness::hhh_sets_equal(loaded->extract(0.1), det.extract(0.1)));
+  MementoHhhDetector twin({.window = Duration::seconds(10), .frames = 8});
+  wire::load_engine_into(frame, twin);
+  EXPECT_TRUE(harness::hhh_sets_equal(twin.extract(0.1), det.extract(0.1)));
+
+  const std::size_t footprint = det.memory_bytes();
+  det.reset();
+  EXPECT_EQ(det.high_watermark(), TimePoint());
+  EXPECT_EQ(det.total_bytes(), 0u);
+  EXPECT_EQ(det.extract(0.1).size(), 0u);
+  EXPECT_EQ(det.memory_bytes(), footprint);
+}
+
 TEST(MementoHhh, V6DetectorFindsHeavyPrefix) {
   MementoHhhV6Detector det({.hierarchy = Hierarchy::v6_byte_granularity(),
                             .window = Duration::seconds(10)});
   for (int i = 0; i < 4000; ++i) {
     const double t = i * 0.0025;
-    det.offer(pkt6(t, "2001:db8::1", 700));
-    det.offer(pkt6(t, i % 2 ? "fd00::1" : "fd00::2", 300));
+    det.add(pkt6(t, "2001:db8::1", 700));
+    det.add(pkt6(t, i % 2 ? "fd00::1" : "fd00::2", 300));
   }
   EXPECT_EQ(det.name(), "memento_v6");
   const auto result = det.query(at(10.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("2001:db8::1/128")));
   // v4 packets are ignored by the v6 detector.
   const double before = det.window_total(at(10.0));
-  det.offer(pkt(10.0, ip("10.0.0.1"), 100));
+  det.add(pkt(10.0, ip("10.0.0.1"), 100));
   EXPECT_DOUBLE_EQ(det.window_total(at(10.0)), before);
 }
 
@@ -224,7 +254,7 @@ TEST(MementoHhh, BoundedMemoryUnderDistinctFlood) {
   const std::size_t idle = det.memory_bytes();
   Rng rng(5);
   for (int i = 0; i < 50000; ++i) {
-    det.offer(pkt(i * 0.001, Ipv4Address(static_cast<std::uint32_t>(rng.next())), 100));
+    det.add(pkt(i * 0.001, Ipv4Address(static_cast<std::uint32_t>(rng.next())), 100));
   }
   EXPECT_LT(det.memory_bytes(), 4u << 20);
   // Traffic-independent: the flood added no slots beyond the fixed arena.

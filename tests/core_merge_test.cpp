@@ -7,7 +7,6 @@
 //  * rhhh / hss — merged summaries stay within the summed error bounds
 //    (mergeable-summaries): verified against the exact golden and, for
 //    HSS under capacity, bit-exact against the single-engine run;
-//  * wcss — frame-aligned merge of sliding summaries;
 //  * ShardedHhhEngine — N worker threads over hash-partitioned streams
 //    must reproduce single-thread results: exactly for exact replicas,
 //    within golden-comparator bounds for RHHH, across seeds.
@@ -22,7 +21,6 @@
 #include "core/rhhh.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/univmon_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
@@ -199,35 +197,6 @@ TEST(RhhhMerge, ModeMismatchThrows) {
   RhhhEngine sampled({.counters_per_level = 64, .seed = 1});
   RhhhEngine hss({.counters_per_level = 64, .update_all_levels = true, .seed = 1});
   EXPECT_THROW(sampled.merge_from(hss), std::invalid_argument);
-}
-
-// --- WCSS merges -------------------------------------------------------------
-
-TEST(WcssMerge, ShardedSlidingDetectorMatchesSingleUnderCapacity) {
-  // Two detectors fed disjoint halves of the same clock, merged, must
-  // agree with one detector fed everything (capacity high enough that
-  // per-frame summaries never evict -> merge is plain addition).
-  const auto packets = stream_for(0x3C55'0001, 12000);
-  std::vector<PacketRecord> a, b;
-  split_stream(packets, a, b);
-
-  WcssSlidingHhhDetector::Params params{.window = Duration::seconds(5),
-                                        .frames = 5,
-                                        .counters_per_level = 4096};
-  WcssSlidingHhhDetector whole(params), left(params), right(params);
-  for (const auto& p : packets) whole.offer(p);
-  for (const auto& p : a) left.offer(p);
-  for (const auto& p : b) right.offer(p);
-  left.merge_from(right);
-
-  const TimePoint now = packets.back().ts;
-  EXPECT_TRUE(harness::hhh_sets_equal(whole.query(now, 0.05), left.query(now, 0.05)));
-}
-
-TEST(WcssMerge, ParamsMismatchThrows) {
-  WcssSlidingHhhDetector a({.frames = 5});
-  WcssSlidingHhhDetector b({.frames = 10});
-  EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 
 // --- sharded engine ----------------------------------------------------------

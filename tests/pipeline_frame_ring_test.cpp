@@ -186,9 +186,23 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   EXPECT_TRUE(harness::hhh_sets_equal(expected, report.hhhs));
 }
 
-TEST(FrameRing, RejectsZeroCapacityAndNullSink) {
+TEST(FrameRing, RejectsZeroCapacityNullSinkAndRetiredFrames) {
   EXPECT_THROW(FrameRing(0), std::invalid_argument);
   EXPECT_THROW(make_frame_ring_sink(nullptr), std::invalid_argument);
+
+  // A retained frame of the retired WCSS detector kind holds no engine.
+  FrameRing ring(4);
+  WindowReport window;
+  window.start = at(0.0);
+  window.end = at(1.0);
+  ring.push(window, wire::build_frame(wire::SnapshotKind::kWcssDetector,
+                                      std::vector<std::uint8_t>{0, 0, 0, 0}));
+  try {
+    ring.query_interval(at(0.0), at(1.0), 0.05);
+    FAIL() << "expected WireFormatError";
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine);
+  }
 }
 
 }  // namespace

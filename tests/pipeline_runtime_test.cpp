@@ -14,8 +14,8 @@
 #include <memory>
 
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
-#include "core/wcss_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/pcap.hpp"
@@ -383,39 +383,41 @@ TEST(SnapshotStreamTest, TruncatedTailIsAnErrorNotEndOfStream) {
 
 // -------------------------------------------- sliding & decaying pairings
 
-TEST(PipelineStagesTest, WcssStageMatchesDirectDetectorQueries) {
+TEST(PipelineStagesTest, MementoStageReportsTheWindowEndingAtEachEvent) {
+  // The stage queries at each event's end, not at the detector's newest
+  // frame. Window totals are exact whatever levels the sampler drew, so
+  // a hand-driven twin pins every report's total and threshold.
   const auto packets = harness::TraceBuilder(5).compact_space().packets(10000);
   const TimePoint end = packets.back().ts + Duration::millis(100);
-  WcssSlidingHhhDetector::Params params;
-  params.window = Duration::millis(100);
-  params.frames = 5;
+  const MementoHhhParams params{.window = Duration::millis(100), .frames = 5};
 
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets), make_wcss_stage(params),
+  Pipeline pipe(make_vector_source(packets),
+                make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();
-  ASSERT_GE(collect.reports().size(), 3u);
+  const auto& reports = collect.reports();
+  ASSERT_GE(reports.size(), 3u);
 
-  // Twin detector driven by hand, queried at the same boundaries.
-  WcssSlidingHhhDetector twin(params);
+  MementoHhhDetector twin(params);
   std::size_t next = 0;
-  for (const auto& p : packets) {
-    while (next < collect.reports().size() && collect.reports()[next].end <= p.ts) {
-      EXPECT_TRUE(harness::hhh_sets_equal(twin.query(collect.reports()[next].end, 0.05),
-                                          collect.reports()[next].hhhs))
+  const auto check_until = [&](TimePoint limit) {
+    for (; next < reports.size() && reports[next].end <= limit; ++next) {
+      const HhhSet expected = twin.query(reports[next].end, 0.05);
+      EXPECT_EQ(reports[next].hhhs.total_bytes, expected.total_bytes) << "report " << next;
+      EXPECT_EQ(reports[next].hhhs.threshold_bytes, expected.threshold_bytes)
           << "report " << next;
-      ++next;
     }
-    twin.offer(p);
+  };
+  for (const auto& p : packets) {
+    check_until(p.ts);
+    twin.add(p);
   }
-  for (; next < collect.reports().size(); ++next) {
-    EXPECT_TRUE(harness::hhh_sets_equal(twin.query(collect.reports()[next].end, 0.05),
-                                        collect.reports()[next].hhhs))
-        << "report " << next;
-  }
+  check_until(end);
+  EXPECT_EQ(next, reports.size());
 }
 
 TEST(PipelineStagesTest, SlidingExactStageMatchesDetectorReports) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <deque>
 #include <map>
 #include <tuple>
 
@@ -17,7 +16,6 @@
 #include "sketch/count_min.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
-#include "sketch/wcss.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "trace/zipf.hpp"
@@ -117,42 +115,6 @@ INSTANTIATE_TEST_SUITE_P(Geometries, DcbfSweep,
                          ::testing::Combine(::testing::Values(12, 14),
                                             ::testing::Values(2, 4),
                                             ::testing::Values(2.0, 8.0)));
-
-// --- Windowed Space-Saving: window overestimate across frame counts ---------
-
-class WcssSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(WcssSweep, WindowOverestimateAcrossGeometry) {
-  const auto [frames, counters] = GetParam();
-  WindowedSpaceSaving w({.window = Duration::seconds(6),
-                         .frames = static_cast<std::size_t>(frames),
-                         .counters_per_frame = static_cast<std::size_t>(counters)});
-  Rng rng(0x3C55);
-  ZipfSampler zipf(300, 1.1);
-  std::deque<std::tuple<double, std::uint64_t, double>> events;
-  double t = 0.0;
-  for (int i = 0; i < 20000; ++i) {
-    t += rng.exponential(400.0);
-    const std::uint64_t key = zipf.sample(rng);
-    const double weight = 1.0 + static_cast<double>(rng.below(64));
-    w.update(key, weight, at(t));
-    events.emplace_back(t, key, weight);
-    if (i % 2000 == 1999) {
-      std::map<std::uint64_t, double> truth;
-      for (const auto& [et, ek, ew] : events) {
-        if (et > t - 6.0) truth[ek] += ew;
-      }
-      for (std::uint64_t probe = 1; probe <= 5; ++probe) {
-        EXPECT_GE(w.estimate(probe, at(t)) + 1e-6, truth[probe])
-            << "frames=" << frames << " counters=" << counters;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Geometry, WcssSweep,
-                         ::testing::Combine(::testing::Values(3, 6, 12),
-                                            ::testing::Values(64, 256)));
 
 // --- Exact extraction invariants across hierarchies -------------------------
 

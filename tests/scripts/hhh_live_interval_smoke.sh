@@ -9,14 +9,18 @@
 #   * the replay exits 0 and writes kMementoDetector frames to --out;
 #   * the interval report merges >= 1 frame with group "memento" and
 #     lists at least one HHH with a conditioned byte count;
+#   * hhh-collector --stdin folds those frames, plus a memento_v6 replay
+#     of a dual-stack scenario, into one "memento" and one "memento_v6"
+#     group (the collector's Memento path end to end);
 #   * an interval before any retained frame reports "no retained frame"
 #     instead of failing;
 #   * a sliding engine without --step is rejected with a pointed error.
 #
-# Usage: hhh_live_interval_smoke.sh LIVE
+# Usage: hhh_live_interval_smoke.sh LIVE COLLECTOR
 set -eu
 
 LIVE=$1
+COLLECTOR=$2
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT INT TERM
@@ -35,6 +39,22 @@ grep -q 'frame(s) merged (group memento)' "$WORK/live.err" \
 grep -q 'conditioned$' "$WORK/live.err" \
     || { echo "FAIL: interval report listed no HHH items" >&2
          sed 's/^/  hhh-live: /' "$WORK/live.err" >&2; exit 1; }
+
+# The same frames through the offline collector, next to a v6 fleet
+# member: each family merges into its own Memento group.
+"$LIVE" --scenario=v4v6_mixed --seconds=30 --engine=memento_v6 --window=10 --step=1 \
+    --out="$WORK/frames6.bin" \
+    2> "$WORK/live6.err" || { echo "FAIL: memento_v6 replay exited nonzero" >&2
+                              sed 's/^/  hhh-live: /' "$WORK/live6.err" >&2; exit 1; }
+cat "$WORK/frames.bin" "$WORK/frames6.bin" | "$COLLECTOR" --stdin --phi=0.05 \
+    > "$WORK/collector.out" 2>&1 || { echo "FAIL: hhh-collector refused memento frames" >&2
+                                     sed 's/^/  hhh-collector: /' "$WORK/collector.out" >&2
+                                     exit 1; }
+for group in memento memento_v6; do
+    grep -qF "merged network-wide HHH set [$group]" "$WORK/collector.out" \
+        || { echo "FAIL: hhh-collector reported no $group group" >&2
+             sed 's/^/  hhh-collector: /' "$WORK/collector.out" >&2; exit 1; }
+done
 
 # An interval entirely before the trace: covered by no retained frame —
 # the query degrades to a pointed message, not a failure.

@@ -2,7 +2,8 @@
 // hhh-collectord. This suite pins the semantics both depend on: absolute
 // thresholds converting to per-scope phis, local extraction BEFORE the
 // merge (the paper's hidden-HHH reveal), compatibility grouping, ledger
-// composition via absorb(), and the checkpoint save/restore round trip.
+// composition via absorb(), and the checkpoint save/restore round trip —
+// for disjoint-window engines and Memento sliding detectors alike.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 
 #include "core/engine.hpp"
 #include "core/hhh_types.hpp"
+#include "core/memento_hhh.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/hierarchy.hpp"
 #include "service/merge.hpp"
@@ -183,21 +185,31 @@ TEST(DecodeScope, RoundTripsAnEngineFrame) {
 
   Scope scope = decode_scope(frame, "vantage0");
   ASSERT_NE(scope.engine, nullptr);
-  EXPECT_EQ(scope.wcss, nullptr);
   EXPECT_EQ(scope.label, "vantage0");
   EXPECT_EQ(scope.engine->total_bytes(), engine->total_bytes());
   expect_same_set(scope.engine->extract(0.1), engine->extract(0.1));
 }
 
 TEST(DecodeScope, RefusesStreamProtocolFrames) {
-  const auto bye = wire::build_frame(wire::SnapshotKind::kStreamBye,
-                                     std::vector<std::uint8_t>{0, 0, 0, 0, 0, 0, 0, 0});
-  const auto frame = wire::parse_frame(bye);
-  try {
-    decode_scope(frame, "x");
-    FAIL() << "expected WireFormatError";
-  } catch (const wire::WireFormatError& e) {
-    EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine);
+  // Stream-protocol frames and the retired WCSS detector kind hold no
+  // vantage state: both decode paths refuse them with a typed error.
+  for (const wire::SnapshotKind kind :
+       {wire::SnapshotKind::kStreamBye, wire::SnapshotKind::kWcssDetector}) {
+    const auto bytes =
+        wire::build_frame(kind, std::vector<std::uint8_t>{0, 0, 0, 0, 0, 0, 0, 0});
+    const auto frame = wire::parse_frame(bytes);
+    try {
+      decode_scope(frame, "x");
+      FAIL() << "expected WireFormatError for " << wire::to_string(kind);
+    } catch (const wire::WireFormatError& e) {
+      EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine) << wire::to_string(kind);
+    }
+    try {
+      wire::load_engine(bytes);
+      FAIL() << "expected WireFormatError for " << wire::to_string(kind);
+    } catch (const wire::WireFormatError& e) {
+      EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine) << wire::to_string(kind);
+    }
   }
 }
 
@@ -288,6 +300,86 @@ TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
   Scope merged = decode_scope(view, "merged");
   ASSERT_NE(merged.engine, nullptr);
   EXPECT_EQ(merged.engine->total_bytes(), 1200u);
+}
+
+// ------------------------------------------------------ Memento scopes
+
+const MementoHhhParams kMementoParams{.window = Duration::seconds(4),
+                                      .frames = 8,
+                                      .counters_per_level = 256};
+
+// A Memento vantage fed `seconds` of its own stream; identical arguments
+// build identical detectors (the stream and the sampler are seeded).
+std::unique_ptr<MementoDetector> memento_vantage(std::uint64_t seed, double seconds) {
+  MementoHhhParams params = kMementoParams;
+  params.seed = seed;
+  auto det = std::make_unique<MementoHhhDetector>(params);
+  det->add_batch(harness::TraceBuilder(seed).compact_space().duration_seconds(seconds).all());
+  return det;
+}
+
+TEST(MergeLedger, FoldsMementoScopesLikeAnInProcessMerge) {
+  // The vantages stop at different instants and the older one is folded
+  // first, so the merged head must move to the newer watermark.
+  const auto make_a = [] { return memento_vantage(0x3E3E'1001, 7.0); };
+  const auto make_b = [] { return memento_vantage(0x3E3E'1002, 9.0); };
+  auto ref_a = make_a();
+  auto ref_b = make_b();
+  const TimePoint newest = ref_b->high_watermark();
+  ASSERT_GT(newest, ref_a->high_watermark());
+  const Thresholds t{.threshold_bytes =
+                         0.03 * (ref_a->window_total(ref_a->high_watermark()) +
+                                 ref_b->window_total(ref_b->high_watermark()))};
+  const auto local_of = [&t](const MementoDetector& det) {
+    const TimePoint now = det.high_watermark();
+    return det.query(now, t.scope_phi(det.window_total(now)));
+  };
+
+  MergeLedger direct(t);
+  expect_same_set(direct.fold(engine_scope(make_a(), "a")), local_of(*ref_a));
+  expect_same_set(direct.fold(engine_scope(make_b(), "b")), local_of(*ref_b));
+
+  const HhhSet local_a = local_of(*ref_a);
+  const HhhSet local_b = local_of(*ref_b);
+  ref_a->merge_from(*ref_b);
+  const HhhSet merged = ref_a->query(newest, t.scope_phi(ref_a->window_total(newest)));
+
+  const LedgerReport report = direct.report();
+  ASSERT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.groups[0].key, "memento");
+  expect_same_set(report.groups[0].merged, merged);
+  PrefixUnion seen;
+  seen.add(local_a.prefixes());
+  seen.add(local_b.prefixes());
+  EXPECT_EQ(report.hidden, prefix_difference(merged.prefixes(), seen.values()));
+
+  // The daemon's shape: per-epoch ledgers absorbed into a cumulative one.
+  MergeLedger epoch1(t);
+  epoch1.fold(engine_scope(make_a(), "a"));
+  MergeLedger epoch2(t);
+  epoch2.fold(engine_scope(make_b(), "b"));
+  MergeLedger cumulative(t);
+  cumulative.absorb(std::move(epoch1));
+  cumulative.absorb(std::move(epoch2));
+  const LedgerReport absorbed = cumulative.report();
+  ASSERT_EQ(absorbed.groups.size(), 1u);
+  expect_same_set(absorbed.groups[0].merged, report.groups[0].merged);
+  EXPECT_EQ(absorbed.hidden, report.hidden);
+
+  // The checkpoint round trip restores the merged head at its watermark.
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  direct.save_state(w);
+  MergeLedger restored(t);
+  wire::Reader r(bytes);
+  restored.load_state(r);
+  EXPECT_TRUE(r.done());
+  const LedgerReport after = restored.report();
+  ASSERT_EQ(after.groups.size(), 1u);
+  EXPECT_EQ(after.groups[0].key, "memento");
+  expect_same_set(after.groups[0].merged, report.groups[0].merged);
+  EXPECT_EQ(after.hidden, report.hidden);
+  EXPECT_EQ(after.scopes_folded, 2u);
 }
 
 }  // namespace

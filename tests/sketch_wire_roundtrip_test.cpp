@@ -10,11 +10,8 @@
 #include "harness/sweep.hpp"
 #include "sketch/count_min.hpp"
 #include "sketch/count_sketch.hpp"
-#include "sketch/exp_histogram.hpp"
-#include "sketch/misra_gries.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
-#include "sketch/wcss.hpp"
 #include "util/random.hpp"
 #include "wire/wire.hpp"
 
@@ -106,36 +103,6 @@ TEST(SketchWireRoundTrip, CountSketchExact) {
   EXPECT_EQ(restored.f2_estimate(), original.f2_estimate());
 }
 
-TEST(SketchWireRoundTrip, MisraGriesExact) {
-  MisraGries original(32);
-  Rng rng(0x22EE'0004);
-  for (int i = 0; i < 5000; ++i) original.update(rng.below(300), 1.0 + rng.below(10));
-
-  MisraGries restored(32);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.total(), original.total());
-  EXPECT_EQ(restored.size(), original.size());
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
-  }
-}
-
-TEST(SketchWireRoundTrip, ExpHistogramExact) {
-  ExpHistogram original(8, Duration::seconds(4));
-  Rng rng(0x22EE'0005);
-  TimePoint t;
-  for (int i = 0; i < 3000; ++i) {
-    t += Duration::millis(static_cast<std::int64_t>(rng.below(5)));
-    original.add(1.0 + rng.below(100), t);
-  }
-  ExpHistogram restored(8, Duration::seconds(4));
-  round_trip(original, restored);
-  EXPECT_EQ(restored.bucket_count(), original.bucket_count());
-  EXPECT_EQ(restored.estimate(t), original.estimate(t));
-  EXPECT_EQ(restored.upper_bound(t), original.upper_bound(t));
-  EXPECT_EQ(restored.lower_bound(t), original.lower_bound(t));
-}
-
 TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {
   DecayingCountingBloomFilter::Params params;
   params.cells = 1 << 10;
@@ -152,26 +119,6 @@ TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {
   EXPECT_EQ(restored.total(later), original.total(later));
   for (std::uint64_t key = 0; key < 400; ++key) {
     EXPECT_EQ(restored.estimate(key, later), original.estimate(key, later)) << key;
-  }
-}
-
-TEST(SketchWireRoundTrip, WindowedSpaceSavingExactAcrossFrames) {
-  WindowedSpaceSaving::Params params{.window = Duration::seconds(2),
-                                     .frames = 8,
-                                     .counters_per_frame = 32};
-  WindowedSpaceSaving original(params);
-  Rng rng(0x22EE'0007);
-  TimePoint t;
-  for (int i = 0; i < 4000; ++i) {
-    t += Duration::micros(static_cast<std::int64_t>(rng.below(2000)));
-    original.update(rng.below(200), 1.0 + rng.below(50), t);
-  }
-  WindowedSpaceSaving restored(params);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.high_watermark(), original.high_watermark());
-  EXPECT_EQ(restored.window_total(t), original.window_total(t));
-  for (std::uint64_t key = 0; key < 200; ++key) {
-    EXPECT_EQ(restored.estimate(key, t), original.estimate(key, t)) << key;
   }
 }
 

@@ -17,7 +17,7 @@ import sys
 
 NOISE_BAND = 0.10  # |delta| beyond 10% gets flagged
 OVERHEAD_GATE_PCT = 2.0  # instrumentation_overhead.overhead_pct above this gets flagged
-SLIDING_SPEEDUP_GATE = 3.0  # sliding.memento_vs_wcss_speedup below this gets flagged
+SLIDING_SPEEDUP_GATE = 3.0  # sliding.memento_vs_exact_sliding_speedup below this gets flagged
 
 
 def load(path):
@@ -115,7 +115,7 @@ def main():
             print(f"hhh-live saturation ({sat['engine']}, {sat['window_s']:.0f}s windows, "
                   f"{sat.get('windows', '?')} closes): {sat['pps']:,.0f} pps {delta}")
 
-    # Sliding-window rows: exact-sliding vs WCSS vs Memento over the same
+    # Sliding-window rows: exact-sliding vs Memento over the same
     # window/trace, with precision/recall against the exact trailing
     # window so throughput is never read in isolation. The speedup gate is
     # on the *current* run, like the overhead gate — the tentpole claim
@@ -138,13 +138,14 @@ def main():
                   f"{r['offer_batch_pps']:>12,.0f} "
                   f"{fmt_delta(r['offer_batch_pps'], b.get('offer_batch_pps', 0), known=known):>9} "
                   f"{r['precision']:>5.2f} {r['recall']:>6.2f}")
-        speedup = sliding.get("memento_vs_wcss_speedup")
+        speedup = sliding.get("memento_vs_exact_sliding_speedup")
         if speedup is not None:
             flag = " ✓" if speedup >= SLIDING_SPEEDUP_GATE else \
                 " ⚠ below %.0fx gate" % SLIDING_SPEEDUP_GATE
-            base_speedup = base.get("sliding", {}).get("memento_vs_wcss_speedup")
+            base_speedup = base.get("sliding", {}).get("memento_vs_exact_sliding_speedup")
             base_note = f" (baseline {base_speedup:.2f}x)" if base_speedup else ""
-            print(f"memento vs wcss_sliding: {speedup:.2f}x offer_batch pps{flag}{base_note}")
+            print(f"memento vs exact_sliding: {speedup:.2f}x offer_batch pps"
+                  f"{flag}{base_note}")
 
     base_snaps = {s["engine"]: s for s in base.get("snapshot_roundtrip", [])}
     print()

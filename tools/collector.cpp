@@ -157,14 +157,6 @@ int run(const Options& opt) {
     std::fprintf(stderr, "error: no snapshot frames found\n");
     return 2;
   }
-  const bool sliding = scopes.front().wcss != nullptr;
-  for (const service::Scope& s : scopes) {
-    if ((s.wcss != nullptr) != sliding) {
-      std::fprintf(stderr, "error: cannot mix engine and sliding-window snapshots\n");
-      return 3;
-    }
-  }
-
   // ---- fold through the shared ledger -------------------------------------
   // fold() extracts each scope's local view before merging it, exactly
   // like the daemon does per epoch.
