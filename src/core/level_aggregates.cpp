@@ -1,6 +1,9 @@
 #include "core/level_aggregates.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -43,25 +46,70 @@ namespace {
 
 constexpr std::uint64_t kCompactCountFlag = 1ULL << 63;
 
-/// Big-endian address bytes of a v6 map key (canonical, left-aligned).
-void v6_address_bytes(const V6Domain::MapKey& key, std::uint8_t out[16]) {
-  for (int i = 0; i < 8; ++i) {
-    out[i] = static_cast<std::uint8_t>(key.hi >> (56 - 8 * i));
-    out[8 + i] = static_cast<std::uint8_t>(key.lo >> (56 - 8 * i));
+/// One v6 level entry as the compact encoder sorts it: the canonical
+/// address halves (the map's prefix length is shared) and the counter.
+struct V6Entry {
+  std::uint64_t hi;
+  std::uint64_t lo;
+  std::uint64_t bytes;
+};
+
+/// Below this many entries a comparison sort beats the radix passes'
+/// fixed cost (a scratch array, and a 256-bucket histogram and a scatter
+/// pass per varying address byte); measured crossover on a /128 level of
+/// a CAIDA-like v6 window with four varying bytes.
+constexpr std::size_t kRadixMinEntries = 1536;
+
+/// Sort a level's entries by address, ascending. Distinct keys have one
+/// sorted order, so the encoded bytes do not depend on the algorithm.
+///
+/// Large levels take an LSD radix sort over only the address bytes that
+/// vary within the level: in a hierarchical level map the leading bytes
+/// are mostly shared and every byte past the prefix length is zero, so a
+/// /48 level of one /32 allocation sorts in two byte passes.
+void sort_v6_entries(std::vector<V6Entry>& entries) {
+  if (entries.size() < kRadixMinEntries) {
+    std::sort(entries.begin(), entries.end(), [](const V6Entry& a, const V6Entry& b) {
+      return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+    });
+    return;
   }
-}
-
-/// Big-endian 64-bit load (compilers recognize the pattern and emit one
-/// bswap'd load).
-std::uint64_t load_be64(const std::uint8_t* b) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | b[i];
-  return v;
-}
-
-/// Inverse of v6_address_bytes (+ length).
-V6Domain::MapKey v6_key_from_bytes(const std::uint8_t bytes[16], unsigned len) {
-  return V6Domain::MapKey{load_be64(bytes), load_be64(bytes + 8), len};
+  std::uint64_t vary_hi = 0;
+  std::uint64_t vary_lo = 0;
+  for (const V6Entry& e : entries) {
+    vary_hi |= e.hi ^ entries.front().hi;
+    vary_lo |= e.lo ^ entries.front().lo;
+  }
+  // Digits least significant first: the low word's bytes, then the high
+  // word's.
+  struct Digit {
+    bool low_word;
+    unsigned shift;
+  };
+  std::array<Digit, 16> digits;
+  std::size_t num_digits = 0;
+  for (const bool low_word : {true, false}) {
+    const std::uint64_t vary = low_word ? vary_lo : vary_hi;
+    for (unsigned shift = 0; shift < 64; shift += 8) {
+      if ((vary >> shift) & 0xFF) digits[num_digits++] = Digit{low_word, shift};
+    }
+  }
+  auto digit = [](const V6Entry& e, Digit d) {
+    return static_cast<std::uint8_t>((d.low_word ? e.lo : e.hi) >> d.shift);
+  };
+  // One pass histograms every digit; each digit then takes one scatter.
+  std::vector<std::array<std::size_t, 256>> offsets(num_digits);
+  for (const V6Entry& e : entries) {
+    for (std::size_t d = 0; d < num_digits; ++d) ++offsets[d][digit(e, digits[d])];
+  }
+  std::vector<V6Entry> scratch(entries.size());
+  for (std::size_t d = 0; d < num_digits; ++d) {
+    std::array<std::size_t, 256>& next = offsets[d];
+    std::size_t sum = 0;
+    for (std::size_t& o : next) sum += std::exchange(o, sum);
+    for (const V6Entry& e : entries) scratch[next[digit(e, digits[d])]++] = e;
+    entries.swap(scratch);
+  }
 }
 
 /// Mirror Reader::count()'s cheap-allocation guard for counts that were
@@ -76,53 +124,77 @@ void write_level_map(wire::Writer& w,
                      const typename BasicLevelAggregates<D>::Map& map,
                      [[maybe_unused]] unsigned level_len) {
   if constexpr (std::is_same_v<D, V6Domain>) {
-    std::vector<std::pair<V6Domain::MapKey, std::uint64_t>> entries;
+    std::vector<V6Entry> entries;
     entries.reserve(map.size());
-    bool uniform_len = true;
     map.for_each([&](const V6Domain::MapKey& key, const std::uint64_t& bytes) {
-      uniform_len &= key.len == level_len;
-      entries.emplace_back(key, bytes);
+      assert(key.len == level_len);  // every key is generalized to its level
+      entries.push_back(V6Entry{key.hi, key.lo, bytes});
     });
-    if (!uniform_len) {
-      // Defensive fallback (cannot happen for hierarchy-built maps): the
-      // legacy per-entry block stays valid wire.
-      w.u64(entries.size());
-      for (const auto& [key, bytes] : entries) {
-        D::write_key(w, key);
-        w.u64(bytes);
-      }
-      return;
-    }
-    std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-      return a.first.hi != b.first.hi ? a.first.hi < b.first.hi
-                                      : a.first.lo < b.first.lo;
-    });
+    sort_v6_entries(entries);
     w.u64(static_cast<std::uint64_t>(entries.size()) | kCompactCountFlag);
     w.u8(static_cast<std::uint8_t>(level_len));
-    const unsigned sig = (level_len + 7) / 8;
-    std::uint8_t prev[16] = {0};
-    for (const auto& [key, bytes] : entries) {
-      std::uint8_t cur[16];
-      v6_address_bytes(key, cur);
-      unsigned shared = 0;
-      while (shared < sig && cur[shared] == prev[shared]) ++shared;
-      w.u8(static_cast<std::uint8_t>(shared));
-      w.raw(cur + shared, sig - shared);
-      w.var_u64(bytes);
-      std::copy(cur, cur + 16, prev);
-    }
-  } else {
-    w.u64(map.size());
-    map.for_each([&](const typename D::MapKey& key, const std::uint64_t& bytes) {
-      D::write_key(w, key);
-      w.u64(bytes);
+    const std::size_t sig = (level_len + 7) / 8;
+    // Worst case per entry: the shared byte, sig suffix bytes and a
+    // 10-byte varint. Every suffix is written as two whole 64-bit words
+    // (the 16 spare bytes cover the last one); the next field overwrites
+    // whatever lies past the suffix.
+    w.bulk(entries.size() * (sig + 11) + 16, [&entries, sig](std::uint8_t* p) {
+      std::uint64_t prev_hi = 0;
+      std::uint64_t prev_lo = 0;
+      for (const V6Entry& e : entries) {
+        const std::uint64_t diff = e.hi ^ prev_hi;
+        const std::size_t common = diff != 0 ? std::countl_zero(diff) / 8
+                                             : 8 + std::countl_zero(e.lo ^ prev_lo) / 8;
+        const std::size_t shared = std::min(common, sig);
+        *p++ = static_cast<std::uint8_t>(shared);
+        // The address shifted left by the shared bytes, as two words.
+        const unsigned bits = static_cast<unsigned>(8 * shared);
+        std::uint64_t first = e.hi;
+        std::uint64_t second = e.lo;
+        if (bits >= 64) {
+          first = bits == 128 ? 0 : e.lo << (bits - 64);
+          second = 0;
+        } else if (bits != 0) {
+          first = (e.hi << bits) | (e.lo >> (64 - bits));
+          second = e.lo << bits;
+        }
+        wire::store_be(p, first);
+        wire::store_be(p + 8, second);
+        p = wire::store_var_u64(p + (sig - shared), e.bytes);
+        prev_hi = e.hi;
+        prev_lo = e.lo;
+      }
+      return p;
     });
+  } else {
+    // IPv4: (packed u64 key, u64 counter) entries in map order, the
+    // layout version-1 snapshots pin, filled into one span.
+    w.u64(map.size());
+    w.bulk(map.size() * 16, [&](std::uint8_t* p) {
+      map.for_each([&](const V4Domain::MapKey& key, const std::uint64_t& bytes) {
+        wire::store_le(p, key);
+        wire::store_le(p + 8, bytes);
+        p += 16;
+      });
+      return p;
+    });
+  }
+}
+
+/// A per-entry key as D::write_key lays it out, decoded from raw bytes.
+template <typename D>
+typename D::MapKey load_key(const std::uint8_t* p) {
+  if constexpr (std::is_same_v<D, V6Domain>) {
+    return V6Domain::MapKey{wire::load_le<std::uint64_t>(p),
+                            wire::load_le<std::uint64_t>(p + 8), p[16]};
+  } else {
+    return wire::load_le<std::uint64_t>(p);
   }
 }
 
 template <typename D>
 void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
-                    [[maybe_unused]] unsigned level_len) {
+                    unsigned level_len) {
   using Map = typename BasicLevelAggregates<D>::Map;
   const std::uint64_t raw = r.u64();
   if constexpr (std::is_same_v<D, V6Domain>) {
@@ -148,7 +220,10 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
       // keys at hash-random buckets of a many-MB table is a cache miss per
       // entry — the bucket sort turns table writes sequential again (the
       // same trick as the legacy path, whose entries arrive in the source
-      // map's bucket order for free).
+      // map's bucket order for free). The sort's order among keys that
+      // share a home bucket fixes the decoded map's iteration order, and
+      // with it the item order of every report built from the map: a
+      // stable or radix sort here would reorder those reports.
       struct DecodedEntry {
         std::uint64_t bucket;
         V6Domain::MapKey key;
@@ -167,7 +242,8 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
                     wire::WireError::kTruncated, "compact v6 block truncated");
         std::memcpy(bytes + shared, p, suffix);
         p += suffix;
-        const V6Domain::MapKey key = v6_key_from_bytes(bytes, len);
+        const V6Domain::MapKey key{wire::load_be<std::uint64_t>(bytes),
+                                   wire::load_be<std::uint64_t>(bytes + 8), len};
         wire::check(key == V6Domain::truncate(key, len), wire::WireError::kBadValue,
                     "compact v6 key has bits beyond its prefix length");
         // Inline LEB128 (same grammar as Reader::var_u64).
@@ -199,19 +275,29 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
       return;
     }
   }
-  // Legacy per-entry block (and the whole IPv4 path).
+  // Legacy per-entry block (and the whole IPv4 path): fixed-width
+  // (key, u64 counter) entries as D::write_key lays them out, so one
+  // bounds check covers the block and a local cursor walks it. Entries
+  // are inserted in frame order — the source map's bucket order — which
+  // keeps table writes sequential and reproduces the decoded layout.
+  constexpr std::size_t kKeyBytes = std::is_same_v<D, V6Domain> ? 17 : 8;
+  constexpr std::size_t kEntryBytes = kKeyBytes + 8;
   const std::uint64_t n = raw;
-  validate_count(r, n, 16);
+  validate_count(r, n, kEntryBytes);
   // Pre-size for the declared entry count: inserting a large level map
   // into a default-capacity table would rehash O(log n) times and
   // dominate deserialization.
   map = Map(n * 2);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const typename D::MapKey key = D::read_key(r);
+  const std::uint8_t* p = r.peek_rest().data();
+  for (std::uint64_t i = 0; i < n; ++i, p += kEntryBytes) {
+    const typename D::MapKey key = load_key<D>(p);
+    wire::check(key == D::truncate(key, level_len), wire::WireError::kBadValue,
+                "LevelAggregates key does not belong to its level");
     auto [v, inserted] = map.try_emplace(key);
     wire::check(inserted, wire::WireError::kBadValue, "LevelAggregates duplicate key");
-    *v = r.u64();
+    *v = wire::load_le<std::uint64_t>(p + kKeyBytes);
   }
+  r.skip(static_cast<std::size_t>(n) * kEntryBytes);
 }
 
 }  // namespace

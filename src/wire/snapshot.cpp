@@ -38,6 +38,24 @@ bool known_kind(std::uint16_t k) noexcept {
          k <= static_cast<std::uint16_t>(SnapshotKind::kMementoDetector);
 }
 
+/// Start a frame: magic, version, kind and a zero payload length
+/// that finish_frame() patches once the payload has been appended.
+void begin_frame(Writer& w, SnapshotKind kind) {
+  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w.u16(kSnapshotVersion);
+  w.u16(static_cast<std::uint16_t>(kind));
+  w.u64(0);
+}
+
+/// Patch the payload length of a frame begun with begin_frame() and
+/// append its CRC.
+void finish_frame(std::vector<std::uint8_t>& out) {
+  store_le<std::uint64_t>(out.data() + kFrameHeaderBytes - sizeof(std::uint64_t),
+                          out.size() - kFrameHeaderBytes);
+  const std::uint32_t crc = crc32(out.data(), out.size());
+  Writer(out).u32(crc);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> build_frame(SnapshotKind kind,
@@ -45,12 +63,9 @@ std::vector<std::uint8_t> build_frame(SnapshotKind kind,
   std::vector<std::uint8_t> out;
   out.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
   Writer w(out);
-  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
-  w.u16(kSnapshotVersion);
-  w.u16(static_cast<std::uint16_t>(kind));
-  w.u64(payload.size());
+  begin_frame(w, kind);
   w.raw(payload.data(), payload.size());
-  w.u32(crc32(out.data(), out.size()));
+  finish_frame(out);
   return out;
 }
 
@@ -140,11 +155,18 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine) {
 }
 
 std::vector<std::uint8_t> save_engine(const HhhEngine& engine) {
-  const SnapshotKind kind = engine_snapshot_kind(engine);
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
+  // The state is encoded straight into the frame, after its header: no
+  // separate payload buffer.
+  std::vector<std::uint8_t> out;
+  Writer w(out);
+  begin_frame(w, engine_snapshot_kind(engine));
   engine.save_state(w);
-  return build_frame(kind, payload);
+  finish_frame(out);
+  // Hand back an exact-size frame: the growth slack (up to the frame's
+  // size again) would otherwise stay resident while the sinks copy and
+  // ship it, raising a vantage's peak RSS by about a frame.
+  out.shrink_to_fit();
+  return out;
 }
 
 std::unique_ptr<HhhEngine> load_engine(const FrameView& frame) {

@@ -33,32 +33,10 @@ void Writer::raw(const void* data, std::size_t len) {
   out_->insert(out_->end(), bytes, bytes + len);
 }
 
-void Reader::need(std::size_t n) const {
-  if (remaining() < n) {
-    throw WireFormatError(WireError::kTruncated,
-                          "need " + std::to_string(n) + " bytes, have " +
-                              std::to_string(remaining()));
-  }
-}
-
-std::uint8_t Reader::u8() {
-  need(1);
-  return data_[pos_++];
-}
-
-std::uint16_t Reader::u16() {
-  const auto lo = u8();
-  return static_cast<std::uint16_t>(lo | (static_cast<std::uint16_t>(u8()) << 8));
-}
-
-std::uint32_t Reader::u32() {
-  const auto lo = u16();
-  return lo | (static_cast<std::uint32_t>(u16()) << 16);
-}
-
-std::uint64_t Reader::u64() {
-  const auto lo = u32();
-  return lo | (static_cast<std::uint64_t>(u32()) << 32);
+void Reader::throw_truncated(std::size_t n) const {
+  throw WireFormatError(WireError::kTruncated,
+                        "need " + std::to_string(n) + " bytes, have " +
+                            std::to_string(remaining()));
 }
 
 bool Reader::boolean() {
@@ -111,23 +89,42 @@ std::uint64_t Reader::count(std::size_t min_element_bytes) {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() noexcept {
-  std::array<std::uint32_t, 256> table{};
+// Slice-by-8 tables: kCrcTables[0] is the classic bytewise table, and
+// kCrcTables[k][b] is the CRC of byte b followed by k zero bytes, so one
+// step folds eight input bytes with eight independent lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() noexcept {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) c = table[(c ^ bytes[i]) & 0xFF] ^ (c >> 8);
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (; len >= 8; len -= 8, p += 8) {
+    const std::uint32_t lo = load_le<std::uint32_t>(p) ^ c;
+    const std::uint32_t hi = load_le<std::uint32_t>(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

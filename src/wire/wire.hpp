@@ -4,8 +4,9 @@
 /// checkpoints) that crosses a process or machine boundary.
 ///
 /// Design rules:
-///  * every multi-byte integer is little-endian, written byte by byte, so
-///    the encoding is identical on any host (endian-stable by
+///  * every multi-byte integer is little-endian, stored and loaded as one
+///    word that is byte-swapped on big-endian hosts (load_le / store_le),
+///    so the encoding is identical on any host (endian-stable by
 ///    construction, not by `#if`);
 ///  * doubles travel as their IEEE-754 bit pattern (exact round trip);
 ///  * decoding NEVER trusts the input: every read is bounds-checked and
@@ -20,7 +21,9 @@
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -69,6 +72,72 @@ class WireFormatError : public std::runtime_error {
   WireError code_;
 };
 
+/// `v` with its byte order reversed.
+template <std::unsigned_integral T>
+constexpr T byteswap(T v) noexcept {
+  if constexpr (sizeof(T) == 1) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    static_assert(sizeof(T) == 8);
+    return __builtin_bswap64(v);
+  }
+}
+
+/// `v` converted between host order and `order` (an involution).
+template <std::endian order, std::unsigned_integral T>
+constexpr T host_to(T v) noexcept {
+  return std::endian::native == order ? v : byteswap(v);
+}
+
+/// Load a little-endian unsigned integer from `p`: one unaligned load,
+/// byte-swapped on big-endian hosts, so the value is the same on any host.
+/// (A shift-composed byte loop means the same thing, but compilers only
+/// sometimes fuse it into one load; inside the codec's hot loops they
+/// often emit eight byte moves instead.)
+template <std::unsigned_integral T>
+inline T load_le(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return host_to<std::endian::little>(v);
+}
+
+/// Store `v` little-endian at `p` (the inverse of load_le).
+template <std::unsigned_integral T>
+inline void store_le(std::uint8_t* p, T v) noexcept {
+  v = host_to<std::endian::little>(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Load a big-endian unsigned integer from `p`.
+template <std::unsigned_integral T>
+inline T load_be(const std::uint8_t* p) noexcept {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return host_to<std::endian::big>(v);
+}
+
+/// Store `v` big-endian at `p` (the inverse of load_be).
+template <std::unsigned_integral T>
+inline void store_be(std::uint8_t* p, T v) noexcept {
+  v = host_to<std::endian::big>(v);
+  std::memcpy(p, &v, sizeof v);
+}
+
+/// Encode `v` as an unsigned LEB128 varint at `p` (at most 10 bytes);
+/// returns the end of what was written.
+constexpr std::uint8_t* store_var_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  while (v >= 0x80) {
+    *p++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<std::uint8_t>(v);
+  return p;
+}
+
 /// Append-only little-endian encoder over a caller-owned byte vector.
 class Writer {
  public:
@@ -78,20 +147,11 @@ class Writer {
   /// Append one byte.
   void u8(std::uint8_t v) { out_->push_back(v); }
   /// Append a 16-bit integer, little-endian.
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
+  void u16(std::uint16_t v) { store_le(grow(sizeof v), v); }
   /// Append a 32-bit integer, little-endian.
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
+  void u32(std::uint32_t v) { store_le(grow(sizeof v), v); }
   /// Append a 64-bit integer, little-endian.
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  void u64(std::uint64_t v) { store_le(grow(sizeof v), v); }
   /// Append a signed 64-bit integer (two's-complement bit pattern).
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   /// Append an IEEE-754 double as its 64-bit pattern (exact round trip).
@@ -102,21 +162,34 @@ class Writer {
   /// 10 bytes) — the compact-payload workhorse (delta-encoded v6 keys,
   /// counter values that are usually small).
   void var_u64(std::uint64_t v) {
-    while (v >= 0x80) {
-      u8(static_cast<std::uint8_t>(v) | 0x80);
-      v >>= 7;
-    }
-    u8(static_cast<std::uint8_t>(v));
+    bulk(10, [v](std::uint8_t* p) { return store_var_u64(p, v); });
   }
   /// Append a length-prefixed (u32) byte string.
   void str(std::string_view s);
   /// Append `len` raw bytes.
   void raw(const void* data, std::size_t len);
 
+  /// Append the bytes `fill(dst)` writes into a span of `max_len` bytes at
+  /// `dst`; `fill` returns the end of what it wrote, and the span past it
+  /// is given back. Hot encode loops fill one span with a local cursor
+  /// instead of paying a size check per field.
+  template <typename Fill>
+  void bulk(std::size_t max_len, Fill&& fill) {
+    std::uint8_t* const begin = grow(max_len);
+    std::uint8_t* const end = fill(begin);
+    out_->resize(out_->size() - max_len + static_cast<std::size_t>(end - begin));
+  }
+
   /// Bytes written to the target so far (including pre-existing content).
   std::size_t size() const noexcept { return out_->size(); }
 
  private:
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = out_->size();
+    out_->resize(at + n);
+    return out_->data() + at;
+  }
+
   std::vector<std::uint8_t>* out_;
 };
 
@@ -138,13 +211,13 @@ class Reader {
   std::uint16_t version() const noexcept { return version_; }
 
   /// Read one byte.
-  std::uint8_t u8();
+  std::uint8_t u8() { return take<std::uint8_t>(); }
   /// Read a little-endian 16-bit integer.
-  std::uint16_t u16();
+  std::uint16_t u16() { return take<std::uint16_t>(); }
   /// Read a little-endian 32-bit integer.
-  std::uint32_t u32();
+  std::uint32_t u32() { return take<std::uint32_t>(); }
   /// Read a little-endian 64-bit integer.
-  std::uint64_t u64();
+  std::uint64_t u64() { return take<std::uint64_t>(); }
   /// Read a signed 64-bit integer.
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   /// Read an IEEE-754 double from its 64-bit pattern.
@@ -180,7 +253,19 @@ class Reader {
   bool done() const noexcept { return pos_ == data_.size(); }
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (remaining() < n) [[unlikely]] throw_truncated(n);
+  }
+  [[noreturn]] void throw_truncated(std::size_t n) const;
+
+  /// One bounds check, then one little-endian load.
+  template <std::unsigned_integral T>
+  T take() {
+    need(sizeof(T));
+    const T v = load_le<T>(data_.data() + pos_);
+    pos_ += sizeof(T);
+    return v;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

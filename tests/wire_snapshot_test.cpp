@@ -10,14 +10,20 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
+#include "util/bit.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
+#include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -110,6 +116,51 @@ TEST(WirePrimitives, CountRejectsImpossibleLengths) {
 TEST(WirePrimitives, Crc32MatchesKnownVector) {
   // The canonical IEEE CRC-32 check value.
   EXPECT_EQ(wire::crc32("123456789", 9), 0xCBF43926u);
+}
+
+/// Bit-at-a-time CRC-32 straight from the definition (reflected, poly
+/// 0xEDB88320): the reference the table-driven crc32 must match.
+std::uint32_t reference_crc32(const std::uint8_t* data, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  return bytes;
+}
+
+TEST(WirePrimitives, Crc32MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0..64 cover the byte tail alone, whole 8-byte steps and every
+  // mix; start offsets 0..7 cover every alignment of the word loads.
+  const std::vector<std::uint8_t> buf = seeded_bytes(64 + 8, 0xC3C0'0001);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(wire::crc32(buf.data() + offset, len), reference_crc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(WirePrimitives, Crc32MatchesBitwiseReferenceOnALargeBuffer) {
+  const std::vector<std::uint8_t> buf = seeded_bytes(2 << 20, 0xC3C0'0002);
+  EXPECT_EQ(wire::crc32(buf.data(), buf.size()), reference_crc32(buf.data(), buf.size()));
+}
+
+TEST(WirePrimitives, Crc32ChainsAcrossEverySplitPoint) {
+  const std::vector<std::uint8_t> buf = seeded_bytes(100, 0xC3C0'0003);
+  const std::uint32_t whole = wire::crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t head = wire::crc32(buf.data(), split);
+    EXPECT_EQ(wire::crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split at " << split;
+  }
 }
 
 // ----------------------------------------------------- corruption table test
@@ -211,6 +262,78 @@ TEST(WireSnapshotRobustness, CrcValidCraftedSizeParamsAreTypedNotAllocated) {
   }
 }
 
+/// A CRC-valid kExactEngine frame over the byte-granularity v4 hierarchy
+/// whose level maps carry `keys[level]` (packed v4 keys, one byte each).
+std::vector<std::uint8_t> hand_built_v4_exact_frame(
+    const std::vector<std::vector<std::uint64_t>>& keys) {
+  std::vector<std::uint8_t> payload;
+  wire::Writer w(payload);
+  w.u8(static_cast<std::uint8_t>(AddressFamily::kIpv4));
+  w.u8(5);
+  for (const std::uint8_t len : {32, 24, 16, 8, 0}) w.u8(len);
+  w.u64(1);  // total bytes
+  for (const auto& level : keys) {
+    w.u64(level.size());
+    for (const std::uint64_t key : level) {
+      w.u64(key);
+      w.u64(1);
+    }
+  }
+  return wire::build_frame(wire::SnapshotKind::kExactEngine, payload);
+}
+
+TEST(WireSnapshotRobustness, LevelMapKeysMustBelongToTheirLevel) {
+  const Ipv4Address addr = Ipv4Address::of(10, 1, 2, 3);
+  auto key = [&](unsigned len) { return Ipv4Prefix(addr, len).key(); };
+  const std::vector<std::vector<std::uint64_t>> good = {
+      {key(32)}, {key(24)}, {key(16)}, {key(8)}, {key(0)}};
+  ASSERT_NO_THROW((void)wire::load_engine(hand_built_v4_exact_frame(good)));
+
+  // A /32 key in the /24 map.
+  auto slash32_in_slash24 = good;
+  slash32_in_slash24[1] = {key(32)};
+  EXPECT_EQ(code_of(hand_built_v4_exact_frame(slash32_in_slash24)), WireError::kBadValue);
+
+  // A key with host bits in the /16 map: 10.1.2.0 tagged /16.
+  auto host_bits_in_slash16 = good;
+  host_bits_in_slash16[2] = {(static_cast<std::uint64_t>(addr.bits() & 0xFFFFFF00u) << 8) | 16};
+  EXPECT_EQ(code_of(hand_built_v4_exact_frame(host_bits_in_slash16)), WireError::kBadValue);
+
+  // 10.1.2.3/32 in every level map.
+  EXPECT_EQ(code_of(hand_built_v4_exact_frame(
+                {{key(32)}, {key(32)}, {key(32)}, {key(32)}, {key(32)}})),
+            WireError::kBadValue);
+}
+
+TEST(WireSnapshotRobustness, LegacyV6LevelMapKeysMustBelongToTheirLevel) {
+  // The per-entry v6 block (count without the compact flag) that
+  // pre-compact writers emitted: (u64 hi, u64 lo, u8 len, u64 bytes).
+  const Hierarchy h = Hierarchy::v6_byte_granularity();
+  auto frame = [&](std::size_t bad_level, std::uint64_t hi, unsigned len) {
+    std::vector<std::uint8_t> payload;
+    wire::Writer w(payload);
+    wire::write_hierarchy(w, h);
+    w.u64(1);
+    const std::uint64_t addr = 0x2001'0db8'1234'5678ull;
+    for (std::size_t level = 0; level < h.levels(); ++level) {
+      const unsigned level_len = h.length_at(level);
+      const bool bad = level == bad_level;
+      w.u64(1);
+      w.u64(bad ? hi : addr & prefix_mask64(level_len));
+      w.u64(0);
+      w.u8(static_cast<std::uint8_t>(bad ? len : level_len));
+      w.u64(1);
+    }
+    return wire::build_frame(wire::SnapshotKind::kExactEngine, payload);
+  };
+  const std::size_t slash32 = h.level_of_length(32);
+  ASSERT_NE(slash32, Hierarchy::npos);
+  ASSERT_NO_THROW((void)wire::load_engine(frame(Hierarchy::npos, 0, 0)));
+  // A /64 key in the /32 map, and a /32-tagged key with bits past /32.
+  EXPECT_EQ(code_of(frame(slash32, 0x2001'0db8'0000'0000ull, 64)), WireError::kBadValue);
+  EXPECT_EQ(code_of(frame(slash32, 0x2001'0db8'1234'0000ull, 32)), WireError::kBadValue);
+}
+
 // ------------------------------------------------------------- params checks
 
 TEST(WireSnapshotRobustness, ParamsMismatchOnRestoreIsTyped) {
@@ -250,6 +373,145 @@ TEST(WireSnapshotRobustness, MergeAcrossConfigurationsThrowsInvalidArgument) {
   auto a2 = wire::load_engine(wire::save_engine(*a));
   auto b2 = wire::load_engine(wire::save_engine(*b));
   EXPECT_THROW(a2->merge_from(*b2), std::invalid_argument);
+}
+
+// ------------------------------------------------------------- golden bytes
+
+// Frames are a contract between builds: a vantage and a collector of
+// different versions must agree on every byte, and the decoded maps'
+// layout fixes the item order of every report built from a frame. These
+// digests were recorded from the reference encoder; any codec change
+// that moves a byte or the decoded iteration order fails here.
+
+/// Endian-independent running digest of a sequence of 64-bit fields.
+class Digest {
+ public:
+  void add(std::uint64_t v) { h_ = mix64(h_ + v); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0x601D'5EED;
+};
+
+/// Digest of a report: its totals, then every item's fields in item order.
+std::uint64_t items_digest(const HhhSet& set) {
+  Digest d;
+  d.add(set.total_bytes);
+  d.add(set.threshold_bytes);
+  for (const HhhItem& item : set.items()) {
+    d.add(static_cast<std::uint64_t>(item.prefix.family()));
+    d.add(item.prefix.bits_hi());
+    d.add(item.prefix.bits_lo());
+    d.add(item.prefix.length());
+    d.add(item.total_bytes);
+    d.add(item.conditioned_bytes);
+  }
+  return d.value();
+}
+
+/// Digest of what a decoded engine holds, in its iteration order: every
+/// level map's entries for the exact engines (their layout fixes the item
+/// order of any report or merge built from them), the re-encoded frame
+/// for the others.
+std::uint64_t decoded_digest(const HhhEngine& engine) {
+  Digest d;
+  auto walk = [&d](const auto& agg) {
+    for (std::size_t level = 0; level < agg.hierarchy().levels(); ++level) {
+      agg.for_each_at(level, [&d](const auto& key, std::uint64_t bytes) {
+        if constexpr (std::is_integral_v<std::decay_t<decltype(key)>>) {
+          d.add(key);
+        } else {
+          d.add(key.hi);
+          d.add(key.lo);
+          d.add(key.len);
+        }
+        d.add(bytes);
+      });
+    }
+  };
+  if (const auto* v4 = dynamic_cast<const ExactEngine*>(&engine)) {
+    walk(v4->aggregates());
+  } else if (const auto* v6 = dynamic_cast<const ExactV6Engine*>(&engine)) {
+    walk(v6->aggregates());
+  } else {
+    const std::vector<std::uint8_t> frame = wire::save_engine(engine);
+    d.add(xxhash64(frame.data(), frame.size()));
+  }
+  return d.value();
+}
+
+/// The seeded workload, with the low 64 address bits of v6 sources
+/// replaced by a few interface ids per /64 when `iids` is set: keys that
+/// then differ only past bit 64 exercise the compact encoder's low-word
+/// radix digits and shared prefixes longer than 8 bytes.
+std::vector<PacketRecord> golden_packets(double v6_fraction, bool iids) {
+  std::vector<PacketRecord> packets =
+      harness::TraceBuilder(0x601D'0013).v6_fraction(v6_fraction).packets(30000);
+  if (iids) {
+    for (std::size_t i = 0; i < packets.size(); ++i) {
+      const std::uint64_t hi = packets[i].src_hi();
+      const std::uint64_t lo =
+          (mix64(hi) & 0xFFFF'FFFF'0000'0000ull) | (mix64(i % 5) & 0xFFFF);
+      packets[i].set_src(IpAddress::v6(hi, lo));
+    }
+  }
+  return packets;
+}
+
+struct GoldenCase {
+  const char* name;
+  std::function<std::unique_ptr<HhhEngine>()> make;
+  double v6_fraction;
+  bool iids;
+  std::uint64_t frame_bytes;
+  std::uint64_t frame_digest;
+  std::uint64_t decoded_digest;
+  std::size_t items;
+  std::uint64_t items_digest;
+};
+
+TEST(WireGolden, FramesAndDecodedLayoutArePinned) {
+  const std::vector<GoldenCase> cases = {
+      {"exact_v4_byte", [] { return make_exact_engine(Hierarchy::byte_granularity()); },
+       0.0, false, 512107, 0x2E5F5F692835C3F2ull, 0xF41ADD09B8CD7E63ull, 78,
+       0x0D4E1BA6574EFBB0ull},
+      {"exact_v6_byte", [] { return make_exact_engine(Hierarchy::v6_byte_granularity()); },
+       1.0, false, 1612498, 0xE978FAB89F058353ull, 0xF978ACD2C4DFA8A1ull, 79,
+       0xE16AF663151AC6C5ull},
+      {"exact_v6_byte_iids",
+       [] { return make_exact_engine(Hierarchy::v6_byte_granularity()); }, 1.0, true,
+       1652521, 0xB29C1CE40FF35FB1ull, 0xBB3EE9A96F39767Eull, 79, 0xE16AF663151AC6C5ull},
+      {"exact_v6_nibble",
+       [] { return make_exact_engine(Hierarchy::v6_nibble_granularity()); }, 1.0, false,
+       3207501, 0xB6B70631BA91A202ull, 0xE2E75B9D54DAAFA8ull, 99, 0xABB132C9544D1FFFull},
+      {"rhhh",
+       [] {
+         return std::make_unique<RhhhEngine>(
+             RhhhEngine::Params{.counters_per_level = 512, .seed = 42});
+       },
+       0.0, false, 57272, 0x3A635FA97611FA24ull, 0x9C473921C6316384ull, 82, 0xAFD2B3E93831DB03ull},
+      {"memento",
+       [] { return std::make_unique<MementoHhhDetector>(MementoHhhParams{}); }, 0.0, false,
+       58415, 0xBEC966469452ECF7ull, 0xE2394C98BF062714ull, 75, 0xCD1BC44B0FF4C81Aull},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto engine = c.make();
+    engine->add_batch(golden_packets(c.v6_fraction, c.iids));
+    const std::vector<std::uint8_t> frame = wire::save_engine(*engine);
+    const auto decoded = wire::load_engine(frame);
+    const HhhSet report = decoded->extract(0.005);
+    EXPECT_EQ(frame.size(), c.frame_bytes);
+    EXPECT_EQ(xxhash64(frame.data(), frame.size()), c.frame_digest);
+    EXPECT_EQ(decoded_digest(*decoded), c.decoded_digest);
+    EXPECT_EQ(report.size(), c.items);
+    EXPECT_EQ(items_digest(report), c.items_digest);
+    if (engine->name() == "exact_v6") {
+      // The compact v6 encoder sorts keys, so a decoded engine re-encodes
+      // to the same frame whatever its map layout.
+      EXPECT_EQ(wire::save_engine(*decoded), frame);
+    }
+  }
 }
 
 // ---------------------------------------------------------------- frame/file
