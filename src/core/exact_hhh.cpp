@@ -1,7 +1,9 @@
 #include "core/exact_hhh.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "util/flat_hash_map.hpp"
@@ -10,51 +12,14 @@ namespace hhh {
 namespace {
 
 constexpr std::size_t kMaxThresholds = 8;
+constexpr std::uint64_t kSaturated = std::numeric_limits<std::uint64_t>::max();
 
-// Residuals for one prefix under every threshold being extracted. An HHH
-// child under threshold i contributes 0 to slot i of its parent; a
-// non-HHH child contributes its slot-i residual.
-using ResidualVec = std::array<std::uint64_t, kMaxThresholds>;
-
-/// Single-threshold extraction with scalar residuals — the hot path for
-/// per-window reports. extract_hhh_multi's array-valued residual maps pay
-/// ~8x the slot size in robin-hood displacement, which matters when a
-/// window holds hundreds of thousands of distinct prefixes.
-template <typename D>
-HhhSet extract_hhh_single(const BasicLevelAggregates<D>& agg,
-                          std::uint64_t threshold_bytes) {
-  using MapKey = typename D::MapKey;
-  using Map = FlatHashMap<MapKey, std::uint64_t, typename D::Hash>;
-  const Hierarchy& hierarchy = agg.hierarchy();
-  const std::uint64_t threshold = std::max<std::uint64_t>(threshold_bytes, 1);
-
-  HhhSet result;
-  result.total_bytes = agg.total_bytes();
-  result.threshold_bytes = threshold;
-
-  // Sized up front: the leaf level dominates and rehash-growth of a
-  // hundreds-of-thousands-entry map would double the extraction cost.
-  Map residual(agg.distinct_at(0) * 2 + 16);
-  agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) { residual[key] = bytes; });
-
-  for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
-    const bool has_parent = level + 1 < hierarchy.levels();
-    const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
-    Map parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
-
-    residual.for_each([&](const MapKey& key, std::uint64_t& res) {
-      if (res >= threshold) {
-        const PrefixKey prefix = D::prefix(key);
-        result.add(HhhItem{prefix, agg.count(prefix), res});
-        return;  // HHH absorbs its subtree
-      }
-      if (has_parent && res > 0) {
-        parent_residual[D::truncate(key, parent_len)] += res;
-      }
-    });
-    residual = std::move(parent_residual);
-  }
-  return result;
+// Level maps restored from a frame are trusted only to be well-formed, not
+// consistent: a parent below the sum of its children must neither wrap
+// its conditioned count nor the discount carried to the next level.
+std::uint64_t saturating_sub(std::uint64_t a, std::uint64_t b) { return a > b ? a - b : 0; }
+std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
+  return a > kSaturated - b ? kSaturated : a + b;
 }
 
 }  // namespace
@@ -63,67 +28,60 @@ template <typename D>
 std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
                                       std::span<const std::uint64_t> thresholds) {
   using MapKey = typename D::MapKey;
-  using ResidualMap = FlatHashMap<MapKey, ResidualVec, typename D::Hash>;
+  using DiscountMap = FlatHashMap<MapKey, std::uint64_t, typename D::Hash>;
   const std::size_t k = thresholds.size();
   if (k == 0) return {};
   if (k > kMaxThresholds) {
     throw std::invalid_argument("extract_hhh_multi: more than 8 thresholds");
   }
-  if (k == 1) {
-    std::vector<HhhSet> one;
-    one.push_back(extract_hhh_single(agg, thresholds[0]));
-    return one;
-  }
   const Hierarchy& hierarchy = agg.hierarchy();
 
   std::array<std::uint64_t, kMaxThresholds> t{};
+  std::uint64_t min_threshold = kSaturated;
   std::vector<HhhSet> results(k);
   for (std::size_t i = 0; i < k; ++i) {
     t[i] = std::max<std::uint64_t>(thresholds[i], 1);
+    min_threshold = std::min(min_threshold, t[i]);
     results[i].total_bytes = agg.total_bytes();
     results[i].threshold_bytes = t[i];
   }
 
-  ResidualMap residual(agg.distinct_at(0) * 2 + 16);
-  agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) {
-    ResidualVec& r = residual[key];
-    for (std::size_t i = 0; i < k; ++i) r[i] = bytes;
-  });
+  // discount[i] holds, for prefixes at the current level, the bytes of
+  // their closest HHH descendants under threshold i; parent[i] collects
+  // the same for the level above.
+  std::vector<DiscountMap> discount(k);
+  std::vector<DiscountMap> parent(k);
+  std::vector<std::vector<HhhItem>> found(k);
 
   for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
-    const bool has_parent = level + 1 < hierarchy.levels();
-    const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
-    ResidualMap parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
-
-    residual.for_each([&](const MapKey& key, ResidualVec& res) {
-      // The prefix's total is fetched lazily, only when some threshold
-      // marks it as an HHH (count() is a hash lookup).
-      std::uint64_t total = 0;
-      bool have_total = false;
-      PrefixKey prefix;
-      ResidualVec up{};
-      bool any_up = false;
+    agg.for_each_at(level, [&](const MapKey& key, std::uint64_t count) {
+      if (count < min_threshold) return;
       for (std::size_t i = 0; i < k; ++i) {
-        if (res[i] >= t[i]) {
-          if (!have_total) {
-            prefix = D::prefix(key);
-            total = agg.count(prefix);
-            have_total = true;
-          }
-          results[i].add(HhhItem{prefix, total, res[i]});
-          // HHH absorbs its subtree under threshold i: contributes 0 up.
-        } else if (res[i] > 0) {
-          up[i] = res[i];
-          any_up = true;
-        }
-      }
-      if (has_parent && any_up) {
-        ResidualVec& parent = parent_residual[D::truncate(key, parent_len)];
-        for (std::size_t i = 0; i < k; ++i) parent[i] += up[i];
+        if (count < t[i]) continue;
+        const std::uint64_t* const d = discount[i].find(key);
+        const std::uint64_t conditioned = d != nullptr ? saturating_sub(count, *d) : count;
+        if (conditioned < t[i]) continue;
+        found[i].push_back(HhhItem{D::prefix(key), count, conditioned});
+        // An HHH absorbs its whole subtree: its ancestors discount all of it.
+        discount[i][key] = count;
       }
     });
-
-    residual = std::move(parent_residual);
+    const bool has_parent = level + 1 < hierarchy.levels();
+    const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
+    for (std::size_t i = 0; i < k; ++i) {
+      // Canonical order: leaf level first, ascending prefix within a level.
+      std::sort(found[i].begin(), found[i].end(),
+                [](const HhhItem& a, const HhhItem& b) { return a.prefix < b.prefix; });
+      for (const HhhItem& item : found[i]) results[i].add(item);
+      found[i].clear();
+      if (!has_parent) continue;
+      parent[i].clear();
+      discount[i].for_each([&](const MapKey& key, std::uint64_t bytes) {
+        std::uint64_t& up = parent[i][D::truncate(key, parent_len)];
+        up = saturating_add(up, bytes);
+      });
+      std::swap(discount[i], parent[i]);
+    }
   }
   return results;
 }

@@ -60,6 +60,27 @@ struct V6Entry {
 /// a CAIDA-like v6 window with four varying bytes.
 constexpr std::size_t kRadixMinEntries = 1536;
 
+/// Stable LSD radix sort: `digit(entry, d)` is the entry's d-th digit,
+/// least significant first, each below `radix`. One pass histograms
+/// every digit; each digit then takes one scatter into a scratch array
+/// that lives only for the call.
+template <typename T, typename DigitFn>
+void lsd_radix_sort(std::vector<T>& entries, std::size_t num_digits, std::size_t radix,
+                    DigitFn digit) {
+  std::vector<std::size_t> offsets(num_digits * radix);
+  for (const T& e : entries) {
+    for (std::size_t d = 0; d < num_digits; ++d) ++offsets[d * radix + digit(e, d)];
+  }
+  std::vector<T> scratch(entries.size());
+  for (std::size_t d = 0; d < num_digits; ++d) {
+    std::size_t* const next = offsets.data() + d * radix;
+    std::size_t sum = 0;
+    for (std::size_t i = 0; i < radix; ++i) sum += std::exchange(next[i], sum);
+    for (const T& e : entries) scratch[next[digit(e, d)]++] = e;
+    entries.swap(scratch);
+  }
+}
+
 /// Sort a level's entries by address, ascending. Distinct keys have one
 /// sorted order, so the encoded bytes do not depend on the algorithm.
 ///
@@ -94,22 +115,31 @@ void sort_v6_entries(std::vector<V6Entry>& entries) {
       if ((vary >> shift) & 0xFF) digits[num_digits++] = Digit{low_word, shift};
     }
   }
-  auto digit = [](const V6Entry& e, Digit d) {
-    return static_cast<std::uint8_t>((d.low_word ? e.lo : e.hi) >> d.shift);
-  };
-  // One pass histograms every digit; each digit then takes one scatter.
-  std::vector<std::array<std::size_t, 256>> offsets(num_digits);
-  for (const V6Entry& e : entries) {
-    for (std::size_t d = 0; d < num_digits; ++d) ++offsets[d][digit(e, digits[d])];
-  }
-  std::vector<V6Entry> scratch(entries.size());
-  for (std::size_t d = 0; d < num_digits; ++d) {
-    std::array<std::size_t, 256>& next = offsets[d];
-    std::size_t sum = 0;
-    for (std::size_t& o : next) sum += std::exchange(o, sum);
-    for (const V6Entry& e : entries) scratch[next[digit(e, digits[d])]++] = e;
-    entries.swap(scratch);
-  }
+  lsd_radix_sort(entries, num_digits, 256, [&digits](const V6Entry& e, std::size_t d) {
+    return static_cast<std::uint8_t>((digits[d].low_word ? e.lo : e.hi) >> digits[d].shift);
+  });
+}
+
+/// One decoded compact v6 entry, tagged with its home bucket in the table
+/// it is about to be inserted into.
+struct DecodedEntry {
+  std::uint64_t bucket;
+  V6Domain::MapKey key;
+  std::uint64_t value;
+};
+
+/// Sort `entries` by home bucket, every bucket below 2^bits, stably:
+/// entries of one bucket keep their decode order, so the decoded layout
+/// is a function of the frame alone.
+void sort_by_bucket(std::vector<DecodedEntry>& entries, unsigned bits) {
+  constexpr unsigned kMaxDigitBits = 11;
+  const unsigned passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  if (entries.size() < 2) return;
+  const unsigned digit_bits = (bits + passes - 1) / passes;
+  const std::uint64_t mask = (std::uint64_t{1} << digit_bits) - 1;
+  lsd_radix_sort(entries, passes, mask + 1, [=](const DecodedEntry& e, std::size_t d) {
+    return (e.bucket >> (d * digit_bits)) & mask;
+  });
 }
 
 /// Mirror Reader::count()'s cheap-allocation guard for counts that were
@@ -220,15 +250,7 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
       // keys at hash-random buckets of a many-MB table is a cache miss per
       // entry — the bucket sort turns table writes sequential again (the
       // same trick as the legacy path, whose entries arrive in the source
-      // map's bucket order for free). The sort's order among keys that
-      // share a home bucket fixes the decoded map's iteration order, and
-      // with it the item order of every report built from the map: a
-      // stable or radix sort here would reorder those reports.
-      struct DecodedEntry {
-        std::uint64_t bucket;
-        V6Domain::MapKey key;
-        std::uint64_t value;
-      };
+      // map's bucket order for free).
       std::vector<DecodedEntry> decoded;
       decoded.reserve(n);
       const std::size_t mask = map.capacity() - 1;
@@ -262,10 +284,7 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
             DecodedEntry{typename D::Hash{}(key) & mask, key, value});
       }
       r.skip(static_cast<std::size_t>(p - rest.data()));
-      std::sort(decoded.begin(), decoded.end(),
-                [](const DecodedEntry& a, const DecodedEntry& b) {
-                  return a.bucket < b.bucket;
-                });
+      sort_by_bucket(decoded, static_cast<unsigned>(std::countr_zero(map.capacity())));
       for (const DecodedEntry& e : decoded) {
         auto [v, inserted] = map.try_emplace(e.key);
         wire::check(inserted, wire::WireError::kBadValue,

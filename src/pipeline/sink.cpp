@@ -5,8 +5,13 @@
 
 #include "obs/metrics.hpp"
 #include "pipeline/stage.hpp"
+#include "wire/snapshot.hpp"
 
 namespace hhh::pipeline {
+
+SinkContext::~SinkContext() {
+  if (snapshot_) wire::recycle_frame(std::move(*snapshot_));
+}
 
 const std::vector<std::uint8_t>& SinkContext::snapshot() {
   if (!snapshot_) snapshot_ = stage_.snapshot();

@@ -31,6 +31,11 @@ class SinkContext {
  public:
   /// Context for one window close over `stage`.
   explicit SinkContext(const MeasurementStage& stage) : stage_(stage) {}
+  /// Hands the snapshot, if one was taken, back to the frame encoder
+  /// (wire::recycle_frame): the next close encodes into the same buffer.
+  ~SinkContext();
+  SinkContext(const SinkContext&) = delete;
+  SinkContext& operator=(const SinkContext&) = delete;
 
   /// The stage's state as one snapshot frame, taken at this window close
   /// (before any policy reset). Throws std::logic_error for

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "core/ancestry_hhh.hpp"
 #include "core/engine.hpp"
@@ -154,18 +155,32 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine) {
                         "no snapshot kind for engine '" + name + "'");
 }
 
+namespace {
+
+/// The buffer recycle_frame() keeps for this thread's next save_engine.
+thread_local std::vector<std::uint8_t> spare_frame;
+
+}  // namespace
+
+void recycle_frame(std::vector<std::uint8_t>&& frame) noexcept {
+  spare_frame = std::move(frame);
+}
+
 std::vector<std::uint8_t> save_engine(const HhhEngine& engine) {
   // The state is encoded straight into the frame, after its header: no
   // separate payload buffer.
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out = std::exchange(spare_frame, {});
+  out.clear();
   Writer w(out);
   begin_frame(w, engine_snapshot_kind(engine));
   engine.save_state(w);
   finish_frame(out);
-  // Hand back an exact-size frame: the growth slack (up to the frame's
+  // Hand back a frame without growth slack: the slack (up to the frame's
   // size again) would otherwise stay resident while the sinks copy and
-  // ship it, raising a vantage's peak RSS by about a frame.
-  out.shrink_to_fit();
+  // ship it, raising a vantage's peak RSS by about a frame. A recycled
+  // buffer a little larger than this frame keeps its spare bytes:
+  // shrinking it would allocate a fresh frame-sized block on every close.
+  if (out.capacity() - out.size() > out.size() / 16) out.shrink_to_fit();
   return out;
 }
 

@@ -130,8 +130,17 @@ FrameScan scan_frame(std::span<const std::uint8_t> buffer,
 /// (kUnsupportedEngine) for engines that are not serializable.
 SnapshotKind engine_snapshot_kind(const HhhEngine& engine);
 
-/// Serialize `engine` into one framed snapshot.
+/// Serialize `engine` into one framed snapshot, encoded into the buffer
+/// last handed to recycle_frame() on this thread, if there is one.
 std::vector<std::uint8_t> save_engine(const HhhEngine& engine);
+
+/// Give a frame that is no longer needed back to save_engine: the next
+/// frame encoded on this thread reuses its buffer instead of allocating
+/// one. A long-lived vantage that recycles each window's frame then
+/// encodes every close into the same heap block, so its peak RSS does not
+/// depend on where a fresh frame-sized block happens to fit. Keeps at
+/// most one buffer per thread.
+void recycle_frame(std::vector<std::uint8_t>&& frame) noexcept;
 
 /// Construct a new engine from a snapshot frame (Memento detectors
 /// included). `buffer` must contain exactly one frame (kTrailingBytes

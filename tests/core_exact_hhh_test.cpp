@@ -3,9 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "core/exact_engine.hpp"
 #include "core/prefix_trie.hpp"
+#include "core/sharded_engine.hpp"
+#include "harness/trace_builder.hpp"
 #include "util/random.hpp"
+#include "wire/snapshot.hpp"
 
 namespace hhh {
 namespace {
@@ -202,6 +210,138 @@ INSTANTIATE_TEST_SUITE_P(
     RandomStreams, EngineEquivalence,
     ::testing::Combine(::testing::Range(1, 11),
                        ::testing::Values(0.01, 0.05, 0.1, 0.3)));
+
+// --- Canonical report order ------------------------------------------------
+
+// Exact reports list items leaf level first and in ascending PrefixKey
+// within a level, whatever the layout of the level maps they were
+// extracted from: a map filled by add() or add_batch(), by shards, by a
+// frame decode or by a merge holds the same counts in a different order.
+
+/// (level, prefix) order: longer prefixes (lower levels) first, then
+/// ascending PrefixKey.
+bool canonical_less(const HhhItem& a, const HhhItem& b) {
+  if (a.prefix.length() != b.prefix.length()) return a.prefix.length() > b.prefix.length();
+  return a.prefix < b.prefix;
+}
+
+bool is_canonical(const HhhSet& set) {
+  const auto& items = set.items();
+  for (std::size_t i = 1; i < items.size(); ++i) {
+    if (!canonical_less(items[i - 1], items[i])) return false;
+  }
+  return true;
+}
+
+/// `set`'s items in canonical order (for the trie, which reports in walk
+/// order).
+std::vector<HhhItem> canonical_items(const HhhSet& set) {
+  std::vector<HhhItem> items = set.items();
+  std::sort(items.begin(), items.end(), canonical_less);
+  return items;
+}
+
+Hierarchy hierarchy_for(bool v6) {
+  return v6 ? Hierarchy::v6_byte_granularity() : Hierarchy::byte_granularity();
+}
+
+std::vector<PacketRecord> canonical_order_packets(bool v6, std::size_t n) {
+  return harness::TraceBuilder(0x0CA2'0015).v6_fraction(v6 ? 1.0 : 0.0).packets(n);
+}
+
+class CanonicalOrder : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CanonicalOrder, ReportsDoNotDependOnHowTheMapsWereFilled) {
+  const bool v6 = GetParam();
+  const Hierarchy hierarchy = hierarchy_for(v6);
+  const auto packets = canonical_order_packets(v6, 20000);
+  const std::span<const PacketRecord> all(packets);
+  const std::size_t half = packets.size() / 2;
+
+  std::vector<std::pair<std::string, std::unique_ptr<HhhEngine>>> engines;
+  auto by_add = make_exact_engine(hierarchy);
+  for (const auto& p : packets) by_add->add(p);
+  auto by_batch = make_exact_engine(hierarchy);
+  by_batch->add_batch(all);
+  auto x1 = make_sharded_exact_engine(hierarchy, 1);
+  x1->add_batch(all);
+  auto x4 = make_sharded_exact_engine(hierarchy, 4);
+  x4->add_batch(all);
+  auto decoded = wire::load_engine(wire::save_engine(*by_batch));
+  // The second half first, then the first half merged in: an insertion
+  // order no other engine here sees.
+  auto merged = make_exact_engine(hierarchy);
+  merged->add_batch(all.subspan(half));
+  auto first_half = make_exact_engine(hierarchy);
+  first_half->add_batch(all.first(half));
+  merged->merge_from(*first_half);
+  engines.emplace_back("add_batch", std::move(by_batch));
+  engines.emplace_back("sharded_x1", std::move(x1));
+  engines.emplace_back("sharded_x4", std::move(x4));
+  engines.emplace_back("load(save)", std::move(decoded));
+  engines.emplace_back("merge_from", std::move(merged));
+
+  for (const double phi : {0.0001, 0.001, 0.01, 0.05, 0.2}) {
+    SCOPED_TRACE(phi);
+    const HhhSet reference = by_add->extract(phi);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_TRUE(is_canonical(reference));
+    for (const auto& [name, engine] : engines) {
+      SCOPED_TRACE(name);
+      const HhhSet report = engine->extract(phi);
+      EXPECT_EQ(report.total_bytes, reference.total_bytes);
+      EXPECT_EQ(report.threshold_bytes, reference.threshold_bytes);
+      EXPECT_EQ(report.items(), reference.items());
+    }
+  }
+}
+
+template <typename D>
+void expect_trie_agrees(const Hierarchy& hierarchy, const std::vector<PacketRecord>& packets) {
+  BasicLevelAggregates<D> agg(hierarchy);
+  PrefixTrie trie(hierarchy.family());
+  for (const auto& p : packets) {
+    agg.add(p.src(), p.ip_len);
+    trie.add(p.src(), p.ip_len);
+  }
+  const std::uint64_t total = agg.total_bytes();
+  ASSERT_GT(total, 0u);
+
+  // T = 1 reports every prefix with bytes of its own; T > total none.
+  const HhhSet everything = extract_hhh(agg, 1);
+  EXPECT_FALSE(everything.empty());
+  EXPECT_TRUE(is_canonical(everything));
+  EXPECT_EQ(everything.items(), canonical_items(trie.extract(hierarchy, 1)));
+  EXPECT_TRUE(extract_hhh(agg, total + 1).empty());
+  EXPECT_TRUE(trie.extract(hierarchy, total + 1).empty());
+
+  const std::vector<double> phis = {0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5};
+  std::vector<std::uint64_t> thresholds;
+  for (const double phi : phis) {
+    thresholds.push_back(static_cast<std::uint64_t>(phi * static_cast<double>(total)) + 1);
+  }
+  const std::vector<HhhSet> sweep = extract_hhh_multi(agg, thresholds);
+  ASSERT_EQ(sweep.size(), thresholds.size());
+  for (std::size_t i = 0; i < thresholds.size(); ++i) {
+    SCOPED_TRACE(thresholds[i]);
+    EXPECT_TRUE(is_canonical(sweep[i]));
+    EXPECT_EQ(sweep[i].threshold_bytes, thresholds[i]);
+    EXPECT_EQ(sweep[i].items(), canonical_items(trie.extract(hierarchy, thresholds[i])));
+  }
+}
+
+TEST_P(CanonicalOrder, SetsAndConditionedCountsMatchTheTrie) {
+  const bool v6 = GetParam();
+  const auto packets = canonical_order_packets(v6, 5000);
+  if (v6) {
+    expect_trie_agrees<V6Domain>(hierarchy_for(v6), packets);
+  } else {
+    expect_trie_agrees<V4Domain>(hierarchy_for(v6), packets);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, CanonicalOrder, ::testing::Values(false, true),
+                         [](const auto& info) { return info.param ? "v6" : "v4"; });
 
 TEST(PrefixTrie, SubtreeBytesAnswersArbitraryPrefixes) {
   PrefixTrie trie;

@@ -371,6 +371,23 @@ TEST(SnapshotStreamTest, PerWindowFramesMergeBackToTheWholeStream) {
   std::filesystem::remove(path);
 }
 
+TEST(SnapshotStreamTest, SinkContextHandsItsFrameBackToTheEncoder) {
+  const auto stage = make_engine_stage(make_exact_engine(Hierarchy::byte_granularity()));
+  stage->ingest(harness::TraceBuilder(9).compact_space().packets(4000));
+  const std::uint8_t* block = nullptr;
+  std::vector<std::uint8_t> bytes;
+  {
+    SinkContext ctx(*stage);
+    block = ctx.snapshot().data();
+    bytes = ctx.snapshot();
+  }
+  // Claims the block, had the context freed it instead of recycling it.
+  const std::vector<std::uint8_t> blocker(bytes.size());
+  const std::vector<std::uint8_t> next = stage->snapshot();
+  EXPECT_EQ(next.data(), block);
+  EXPECT_EQ(next, bytes);
+}
+
 TEST(SnapshotStreamTest, TruncatedTailIsAnErrorNotEndOfStream) {
   auto engine = make_exact_engine(Hierarchy::byte_granularity());
   const auto frame = wire::save_engine(*engine);

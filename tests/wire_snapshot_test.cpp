@@ -11,11 +11,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/exact_engine.hpp"
+#include "core/exact_hhh.hpp"
 #include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "harness/sweep.hpp"
@@ -86,6 +89,25 @@ TEST(WirePrimitives, EncodingIsLittleEndianByConstruction) {
   EXPECT_EQ(buf[1], 0x33);
   EXPECT_EQ(buf[2], 0x22);
   EXPECT_EQ(buf[3], 0x11);
+}
+
+TEST(WireSnapshot, RecycledFrameBufferIsReusedWithIdenticalBytes) {
+  ExactEngine engine(Hierarchy::byte_granularity());
+  for (const auto& p : harness::TraceBuilder(7).compact_space().packets(2000)) {
+    engine.add(p);
+  }
+  std::vector<std::uint8_t> first = wire::save_engine(engine);
+  const std::vector<std::uint8_t> copy = first;
+  const std::uint8_t* const block = first.data();
+  wire::recycle_frame(std::move(first));
+  // The next frame on this thread is encoded into the recycled block.
+  const std::vector<std::uint8_t> second = wire::save_engine(engine);
+  EXPECT_EQ(second.data(), block);
+  EXPECT_EQ(second, copy);
+  // The spare is taken once: a further frame gets a block of its own.
+  const std::vector<std::uint8_t> third = wire::save_engine(engine);
+  EXPECT_NE(third.data(), block);
+  EXPECT_EQ(third, copy);
 }
 
 TEST(WirePrimitives, ReaderThrowsTypedTruncationOnEveryAccessor) {
@@ -262,24 +284,39 @@ TEST(WireSnapshotRobustness, CrcValidCraftedSizeParamsAreTypedNotAllocated) {
   }
 }
 
+/// One (packed v4 key, byte count) level-map entry.
+using V4Entry = std::pair<std::uint64_t, std::uint64_t>;
+
 /// A CRC-valid kExactEngine frame over the byte-granularity v4 hierarchy
-/// whose level maps carry `keys[level]` (packed v4 keys, one byte each).
+/// whose level maps carry `entries[level]`, with no check that the levels
+/// agree with each other.
 std::vector<std::uint8_t> hand_built_v4_exact_frame(
-    const std::vector<std::vector<std::uint64_t>>& keys) {
+    const std::vector<std::vector<V4Entry>>& entries, std::uint64_t total_bytes) {
   std::vector<std::uint8_t> payload;
   wire::Writer w(payload);
   w.u8(static_cast<std::uint8_t>(AddressFamily::kIpv4));
   w.u8(5);
   for (const std::uint8_t len : {32, 24, 16, 8, 0}) w.u8(len);
-  w.u64(1);  // total bytes
-  for (const auto& level : keys) {
+  w.u64(total_bytes);
+  for (const auto& level : entries) {
     w.u64(level.size());
-    for (const std::uint64_t key : level) {
+    for (const auto& [key, count] : level) {
       w.u64(key);
-      w.u64(1);
+      w.u64(count);
     }
   }
   return wire::build_frame(wire::SnapshotKind::kExactEngine, payload);
+}
+
+/// Same, with every key counting one byte.
+std::vector<std::uint8_t> hand_built_v4_exact_frame(
+    const std::vector<std::vector<std::uint64_t>>& keys) {
+  std::vector<std::vector<V4Entry>> entries;
+  for (const auto& level : keys) {
+    entries.emplace_back();
+    for (const std::uint64_t key : level) entries.back().emplace_back(key, 1);
+  }
+  return hand_built_v4_exact_frame(entries, 1);
 }
 
 TEST(WireSnapshotRobustness, LevelMapKeysMustBelongToTheirLevel) {
@@ -303,6 +340,62 @@ TEST(WireSnapshotRobustness, LevelMapKeysMustBelongToTheirLevel) {
   EXPECT_EQ(code_of(hand_built_v4_exact_frame(
                 {{key(32)}, {key(32)}, {key(32)}, {key(32)}, {key(32)}})),
             WireError::kBadValue);
+}
+
+// Extraction trusts every level's counts. A frame that is well-formed
+// but inconsistent (a parent below the sum of its children, or a parent
+// with no children at all) must extract without wrapping a residual.
+TEST(WireSnapshotRobustness, InconsistentLevelMapsExtractWithoutWrapping) {
+  auto key = [](std::uint8_t a, std::uint8_t b, std::uint8_t c, std::uint8_t d,
+                unsigned len) { return Ipv4Prefix(Ipv4Address::of(a, b, c, d), len).key(); };
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  auto extract_at = [](const std::vector<std::uint8_t>& frame, std::uint64_t threshold) {
+    const auto engine = wire::load_engine(frame);
+    return extract_hhh(dynamic_cast<const ExactEngine&>(*engine).aggregates(), threshold);
+  };
+
+  // Two 600-byte /32s under a /24 (and everything above) that claims 700:
+  // the HHH children discount 1200 from 700, which saturates to 0.
+  const HhhSet report = extract_at(hand_built_v4_exact_frame(
+      {{{key(10, 1, 2, 1, 32), 600}, {key(10, 1, 2, 2, 32), 600}},
+       {{key(10, 1, 2, 0, 24), 700}},
+       {{key(10, 1, 0, 0, 16), 700}},
+       {{key(10, 0, 0, 0, 8), 700}},
+       {{key(0, 0, 0, 0, 0), 700}}},
+      700),
+      500);
+  ASSERT_EQ(report.size(), 2u);
+  EXPECT_EQ(report.items()[0], (HhhItem{PrefixKey::parse("10.1.2.1/32").value(), 600, 600}));
+  EXPECT_EQ(report.items()[1], (HhhItem{PrefixKey::parse("10.1.2.2/32").value(), 600, 600}));
+
+  // Children whose counts sum to 2^64 saturate the discount instead of
+  // wrapping it to 0 (which would report the /24 from its whole count).
+  const std::uint64_t half = 1ull << 63;
+  const HhhSet huge_report = extract_at(hand_built_v4_exact_frame(
+      {{{key(10, 1, 2, 1, 32), half}, {key(10, 1, 2, 2, 32), half}},
+       {{key(10, 1, 2, 0, 24), kMax}},
+       {},
+       {},
+       {}},
+      kMax),
+      half);
+  ASSERT_EQ(huge_report.size(), 2u);
+  EXPECT_EQ(huge_report.items()[0].prefix.length(), 32u);
+  EXPECT_EQ(huge_report.items()[1].prefix.length(), 32u);
+
+  // A /24 with a large count and no /32 below it is reported from its own
+  // count; its ancestors discount it like any HHH.
+  const HhhSet orphan_report = extract_at(hand_built_v4_exact_frame(
+      {{{key(10, 1, 2, 1, 32), 100}},
+       {{key(10, 1, 2, 0, 24), 100}, {key(10, 9, 9, 0, 24), 5000}},
+       {{key(10, 1, 0, 0, 16), 100}, {key(10, 9, 0, 0, 16), 5000}},
+       {{key(10, 0, 0, 0, 8), 5100}},
+       {{key(0, 0, 0, 0, 0), 5100}}},
+      5100),
+      2550);
+  ASSERT_EQ(orphan_report.size(), 1u);
+  EXPECT_EQ(orphan_report.items()[0],
+            (HhhItem{PrefixKey::parse("10.9.9.0/24").value(), 5000, 5000}));
 }
 
 TEST(WireSnapshotRobustness, LegacyV6LevelMapKeysMustBelongToTheirLevel) {
@@ -378,10 +471,13 @@ TEST(WireSnapshotRobustness, MergeAcrossConfigurationsThrowsInvalidArgument) {
 // ------------------------------------------------------------- golden bytes
 
 // Frames are a contract between builds: a vantage and a collector of
-// different versions must agree on every byte, and the decoded maps'
-// layout fixes the item order of every report built from a frame. These
-// digests were recorded from the reference encoder; any codec change
-// that moves a byte or the decoded iteration order fails here.
+// different versions must agree on every byte. These digests were
+// recorded from the reference encoder; any codec change that moves a
+// byte fails here. The decoded-layout digest pins that a decode is a
+// function of the frame alone: a v4 engine re-encodes its maps in that
+// layout, and merges into a decoded engine insert in it. It no longer
+// fixes any report: exact reports are in canonical (level, prefix) order
+// whatever the layout, so the items digest pins counts and sets.
 
 /// Endian-independent running digest of a sequence of 64-bit fields.
 class Digest {
@@ -410,9 +506,9 @@ std::uint64_t items_digest(const HhhSet& set) {
 }
 
 /// Digest of what a decoded engine holds, in its iteration order: every
-/// level map's entries for the exact engines (their layout fixes the item
-/// order of any report or merge built from them), the re-encoded frame
-/// for the others.
+/// level map's entries for the exact engines (their layout fixes the
+/// order of any v4 re-encode or merge built from them), the re-encoded
+/// frame for the others.
 std::uint64_t decoded_digest(const HhhEngine& engine) {
   Digest d;
   auto walk = [&d](const auto& agg) {
@@ -474,16 +570,16 @@ TEST(WireGolden, FramesAndDecodedLayoutArePinned) {
   const std::vector<GoldenCase> cases = {
       {"exact_v4_byte", [] { return make_exact_engine(Hierarchy::byte_granularity()); },
        0.0, false, 512107, 0x2E5F5F692835C3F2ull, 0xF41ADD09B8CD7E63ull, 78,
-       0x0D4E1BA6574EFBB0ull},
+       0x50E00FB9C853AF2Eull},
       {"exact_v6_byte", [] { return make_exact_engine(Hierarchy::v6_byte_granularity()); },
-       1.0, false, 1612498, 0xE978FAB89F058353ull, 0xF978ACD2C4DFA8A1ull, 79,
-       0xE16AF663151AC6C5ull},
+       1.0, false, 1612498, 0xE978FAB89F058353ull, 0x0585B1DA38C00DFBull, 79,
+       0xD8497A07976EE32Dull},
       {"exact_v6_byte_iids",
        [] { return make_exact_engine(Hierarchy::v6_byte_granularity()); }, 1.0, true,
-       1652521, 0xB29C1CE40FF35FB1ull, 0xBB3EE9A96F39767Eull, 79, 0xE16AF663151AC6C5ull},
+       1652521, 0xB29C1CE40FF35FB1ull, 0x49348E302763011Bull, 79, 0xD8497A07976EE32Dull},
       {"exact_v6_nibble",
        [] { return make_exact_engine(Hierarchy::v6_nibble_granularity()); }, 1.0, false,
-       3207501, 0xB6B70631BA91A202ull, 0xE2E75B9D54DAAFA8ull, 99, 0xABB132C9544D1FFFull},
+       3207501, 0xB6B70631BA91A202ull, 0x7E75F126151A4A07ull, 99, 0x234CA9DD3E22F412ull},
       {"rhhh",
        [] {
          return std::make_unique<RhhhEngine>(
